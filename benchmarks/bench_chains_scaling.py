@@ -2,9 +2,9 @@
 
 Three measurements back the multi-chain engine:
 
-* the per-sweep speedup of the blanket-cached (and batched-draw) object
-  sweep over the derive-everything-per-move reference sweep, plus the
-  vectorized array kernel head to head;
+* the per-sweep speedup of the blanket-cached object sweep over the
+  derive-everything-per-move reference sweep, plus the vectorized array
+  kernel head to head;
 * multi-chain wall-clock vs chain count and process-pool size, with a
   bitwise determinism check that worker count never changes the draws;
 * persistent-pool StEM E-step scaling vs worker count, with a bitwise
@@ -60,9 +60,6 @@ def test_blanket_cache_speedup(benchmark):
             "cached": sweep_rate(
                 trace, rates, cache_blankets=True, kernel="object"
             ),
-            "cached+batch": sweep_rate(
-                trace, rates, batch_draws=True, kernel="object"
-            ),
             "array": sweep_rate(trace, rates, kernel="array"),
         }
 
@@ -73,7 +70,7 @@ def test_blanket_cache_speedup(benchmark):
          f"{base / sec:.2f}x")
         for label, (sec, latent) in results.items()
     ]
-    print("\n=== Sweep throughput: blanket cache + batched draws ===")
+    print("\n=== Sweep throughput: blanket cache ===")
     print(render_table(
         ["sweep", "latent vars", "ms / sweep", "us / latent", "speedup"],
         rows, title="static blankets precomputed once vs re-derived per move",
@@ -81,7 +78,6 @@ def test_blanket_cache_speedup(benchmark):
     # Generous bound: the point is catching a real regression (cached
     # sweeps ~1.3-1.8x faster locally), not failing CI on a noisy runner.
     assert results["cached"][0] < base * 1.5
-    assert results["cached+batch"][0] < base * 1.5
     # The vectorized kernel must beat every object-path variant outright.
     assert results["array"][0] < base
 

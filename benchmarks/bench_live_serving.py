@@ -37,7 +37,7 @@ from repro.experiments import render_table
 from repro.live import EstimatorService, LiveClient, LiveServer, LiveTraceStream
 from repro.live.records import replay_batches
 from repro.observation import TaskSampling
-from repro.online import StreamingEstimator
+from repro.online import EstimatorConfig, StreamingEstimator
 from repro.webapp import WebAppConfig, generate_webapp_trace
 
 from conftest import full_scale
@@ -92,7 +92,8 @@ def test_live_serving_throughput_and_latency(benchmark):
             n_queues=trace.skeleton.n_queues, lateness=horizon
         )
         estimator = StreamingEstimator(
-            stream, window=window, stem_iterations=5, random_state=7
+            stream, random_state=7,
+            config=EstimatorConfig(window=window, stem_iterations=5),
         )
         service = EstimatorService(estimator, poll_interval=0.01)
         window_ready_at: dict[int, float] = {}
@@ -143,10 +144,12 @@ def test_live_serving_throughput_and_latency(benchmark):
             deadline = time.time() + 300.0
             while time.time() < deadline:
                 health = service.health()
-                if health["status"] in ("finished", "failed"):
+                if health["service"]["status"] in ("finished", "failed"):
                     break
                 time.sleep(0.02)
-            assert health["status"] == "finished", health["error"]
+            assert health["service"]["status"] == "finished", (
+                health["service"]["error"]
+            )
         published = service.windows()
         # Windows whose populations only the seal finalized (the grid
         # tail) start their latency clock at the seal.
@@ -165,7 +168,7 @@ def test_live_serving_throughput_and_latency(benchmark):
         ("records shipped (2 clients)", f"{shipped}"),
         ("ingest wall time", f"{ingest_seconds:.2f} s"),
         ("ingest throughput", f"{throughput:.0f} records/s"),
-        ("windows published / grid", f"{len(published)} / {health['windows_published']}"),
+        ("windows published / grid", f"{len(published)} / {health['service']['windows_published']}"),
         ("windows with estimates", f"{len(ok)}"),
         ("publish latency mean", f"{np.mean(latencies):.3f} s"),
         ("publish latency max", f"{np.max(latencies):.3f} s"),
@@ -191,11 +194,11 @@ def test_live_serving_throughput_and_latency(benchmark):
     # Acceptance: every shipped record made it in (the racing watermarks
     # really were harmless), the service drained the whole grid, estimated
     # something, and ingestion was not pathologically serialized.
-    assert health["n_stragglers"] == 0, (
-        f"{health['n_stragglers']} records dropped as stragglers — the "
+    assert health["stream"]["n_stragglers"] == 0, (
+        f"{health['stream']['n_stragglers']} records dropped as stragglers — the "
         "lateness bound no longer covers the client race"
     )
-    assert health["n_admitted"] == shipped
+    assert health["stream"]["n_admitted"] == shipped
     # Float rounding of horizon/n_windows can move the grid's window
     # count by one in either direction; off-by-more means lost windows.
     assert abs(len(published) - n_windows) <= 1
@@ -242,8 +245,10 @@ def test_steady_state_compaction_memory_and_latency(benchmark):
     def run():
         stream = LiveTraceStream(n_queues=3, retain=retain)
         estimator = StreamingEstimator(
-            stream, window=window, stem_iterations=1, random_state=3,
-            min_observed_tasks=10**9,
+            stream, random_state=3,
+            config=EstimatorConfig(
+                window=window, stem_iterations=1, min_observed_tasks=10**9,
+            ),
         )
         window_seconds = []
         t = 0.0

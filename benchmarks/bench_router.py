@@ -117,7 +117,7 @@ def measure_tier(n_services: int, batches: list, horizon: float,
                 t.join()
             elapsed = time.perf_counter() - t0
             health = router.health()
-    assert health["n_admitted"] == n_records, health
+    assert health["stream"]["n_admitted"] == n_records, health
     assert health["router"]["n_restarts"] == 0, health
     return n_records / max(elapsed, 1e-9)
 

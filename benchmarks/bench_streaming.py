@@ -39,7 +39,7 @@ import numpy as np
 from repro.experiments import render_table
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online import ReplayTraceStream, StreamingEstimator
+from repro.online import EstimatorConfig, ReplayTraceStream, StreamingEstimator
 from repro.simulate import simulate_network
 
 from conftest import full_scale
@@ -60,15 +60,12 @@ def run_stream(trace, horizon, *, warm: bool, shards: int, workers: int,
                seed: int = 7):
     """One full pass over the stream; returns (seconds, window estimates)."""
     estimator = StreamingEstimator(
-        ReplayTraceStream(trace),
-        window=horizon / 4,
-        step=horizon / 12,           # overlap: the warm-reuse regime
-        stem_iterations=6,
-        random_state=seed,
-        shards=shards,
-        shard_workers=workers,
-        repartition="incremental" if warm else "cold",
-        warm_workers=warm,
+        ReplayTraceStream(trace), random_state=seed,
+        config=EstimatorConfig(
+            window=horizon / 4, step=horizon / 12, stem_iterations=6,
+            shards=shards, shard_workers=workers,
+            repartition="incremental" if warm else "cold", warm_workers=warm,
+        ),
     )
     t0 = time.perf_counter()
     windows = estimator.run()

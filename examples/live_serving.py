@@ -33,7 +33,7 @@ from repro.live import (
     replay_batches,
 )
 from repro.observation import TaskSampling
-from repro.online import StreamingEstimator
+from repro.online import EstimatorConfig, StreamingEstimator
 from repro.webapp import WebAppConfig, generate_webapp_trace
 
 SEED = 7
@@ -51,7 +51,8 @@ def main() -> None:
     #    served over TCP with a shared-secret handshake.
     stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
     estimator = StreamingEstimator(
-        stream, window=horizon / 5, stem_iterations=10, random_state=SEED
+        stream, random_state=SEED,
+        config=EstimatorConfig(window=horizon / 5, stem_iterations=10),
     )
     service = EstimatorService(estimator, poll_interval=0.05)
     with service.start(), LiveServer(service, authkey=b"demo") as server:
@@ -70,11 +71,11 @@ def main() -> None:
             print(f"shipped {shipped} measurement records; stream sealed")
 
             # 4. Query the estimates back as they finish publishing.
-            while client.health()["status"] == "serving":
+            while client.health()["service"]["status"] == "serving":
                 time.sleep(0.1)
             health = client.health()
-            print(f"service status: {health['status']}, "
-                  f"{health['windows_published']} windows published\n")
+            print(f"service status: {health['service']['status']}, "
+                  f"{health['service']['windows_published']} windows published\n")
             print("win   interval          tasks  mean service per queue")
             for est in client.estimates():
                 if est["rates"] is not None:

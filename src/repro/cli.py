@@ -31,10 +31,13 @@ experiment
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
+from repro.errors import InferenceError, IngestError
 from repro.events import load_jsonl, save_jsonl
 from repro.experiments import (
     quick_fig4_config,
@@ -50,13 +53,89 @@ from repro.inference import (
     estimate_posterior,
     run_stem,
 )
+from repro.inference.gibbs import KERNELS
 from repro.inference.transport import PipeTransport, SocketTransport
 from repro.localization import rank_bottlenecks, render_report
 from repro.network import build_tandem_network, build_three_tier_network
 from repro.observation import TaskSampling
-from repro.online import ReplayTraceStream, detect_anomalies
+from repro.online import (
+    ESTIMATORS,
+    EstimatorConfig,
+    ReplayTraceStream,
+    detect_anomalies,
+    get_estimator,
+)
 from repro.simulate import simulate_network
 from repro.webapp import WebAppConfig, generate_webapp_trace
+
+#: The estimator flags of ``stream``/``serve``/``route``, one row per
+#: :class:`~repro.online.EstimatorConfig` field: ``(flag, field, type or
+#: choices, help)``.  The fields that are not flags: ``window`` is set per
+#: command, and ``repartition``/``warm_workers`` by ``stream --cold``.
+_ESTIMATOR_FLAGS = (
+    ("--step", "step", float,
+     "window start spacing (default: the window length; smaller values "
+     "overlap windows, which maximizes warm-shard reuse)"),
+    ("--iterations", "stem_iterations", int, "StEM iterations per window"),
+    ("--min-observed", "min_observed_tasks", int,
+     "windows with fewer fully observed tasks are skipped"),
+    ("--shards", "shards", int,
+     "sharded sweeps per window (clamped to each window's task count)"),
+    ("--shard-workers", "shard_workers", int,
+     "host the shard sweeps on this many worker processes, kept warm "
+     "across windows (results identical at any worker count)"),
+    ("--kernel", "kernel", KERNELS,
+     "sweep kernel for every window's E-step chains ('native' falls back "
+     "to 'array' when numba is unavailable)"),
+    ("--threads", "threads", int,
+     "threads for the batch kernels' chunked evaluation (results are "
+     "bitwise identical at any thread count)"),
+    ("--worker-retries", "worker_retries", int,
+     "times a window whose shard worker pool died is re-run on a "
+     "relaunched pool before its failure is recorded as data"),
+    ("--particles", "n_particles", int,
+     "SMC particle count (--estimator smc only)"),
+    ("--ess-threshold", "ess_threshold", float,
+     "resample + rejuvenate when the effective sample size falls below "
+     "this fraction of the particle count (--estimator smc only)"),
+    ("--rejuvenation-sweeps", "rejuvenation_sweeps", int,
+     "Gibbs sweeps per particle per rejuvenation trigger "
+     "(--estimator smc only)"),
+)
+
+#: Where the CLI's documented default differs from the dataclass default.
+_CLI_DEFAULTS = {"stem_iterations": 30}
+
+#: ``serve`` flags a checkpoint freezes besides the estimator table.
+_RESTORE_FROZEN = (
+    "--queues", "--window", "--seed", "--lateness", "--max-pending",
+    "--retain", "--estimator",
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
+    """Add ``--estimator`` and the table's flags, all defaulting to None
+    so "not passed" is distinguishable (``serve --restore`` needs it)."""
+    p.add_argument(
+        "--estimator", choices=tuple(ESTIMATORS), default=None,
+        help="estimator flavor: 'stem' reruns windowed StEM per window "
+        "(default); 'smc' advances a particle population per poll "
+        "batch with ESS-triggered Gibbs rejuvenation — O(arrivals) "
+        "between triggers, the win under heavy window overlap",
+    )
+    defaults = {f.name: f.default for f in fields(EstimatorConfig)}
+    defaults.update(_CLI_DEFAULTS)
+    for flag, field, kind, text in _ESTIMATOR_FLAGS:
+        default = defaults[field]
+        check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        p.add_argument(
+            flag, default=None, **check,
+            help=text if default is None else f"{text} (default: {default})",
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "results are identical at any worker count)",
     )
     inf.add_argument(
-        "--kernel", choices=["array", "native", "object"], default="array",
+        "--kernel", choices=KERNELS, default="array",
         help="Gibbs sweep engine: 'array' (vectorized conflict-free "
         "batches, the fast default), 'native' (the array sweep with "
         "JIT-compiled piecewise loops; falls back to 'array' when numba "
@@ -126,42 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "any worker count)",
     )
 
-    def _add_estimator_flags(p, sentinel: bool = False) -> None:
-        # One flag block shared by stream/serve/route.  With
-        # sentinel=True every default is None so the serve --restore
-        # branch can tell "explicitly passed" from "defaulted"; real
-        # defaults are the EstimatorConfig dataclass defaults, applied
-        # at construction time.
-        d = (lambda v: None) if sentinel else (lambda v: v)
-        p.add_argument(
-            "--estimator", choices=["stem", "smc"], default=d("stem"),
-            help="estimator flavor: 'stem' reruns windowed StEM per window "
-            "(default); 'smc' advances a particle population per poll "
-            "batch with ESS-triggered Gibbs rejuvenation — O(arrivals) "
-            "between triggers, the win under heavy window overlap",
-        )
-        p.add_argument(
-            "--particles", type=int, default=d(16),
-            help="SMC particle count (default: 16; --estimator smc only)",
-        )
-        p.add_argument(
-            "--ess-threshold", type=float, default=d(0.5),
-            help="resample + rejuvenate when the effective sample size "
-            "falls below this fraction of the particle count "
-            "(default: 0.5; --estimator smc only)",
-        )
-        p.add_argument(
-            "--rejuvenation-sweeps", type=int, default=d(1),
-            help="Gibbs sweeps per particle per rejuvenation trigger "
-            "(default: 1; --estimator smc only)",
-        )
-        p.add_argument(
-            "--worker-retries", type=int, default=d(1),
-            help="times a window whose shard worker pool died is re-run "
-            "on a relaunched pool before its failure is recorded as data "
-            "(default: 1)",
-        )
-
     stream = sub.add_parser(
         "stream",
         help="sliding-window estimation over a replayed trace "
@@ -180,23 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--window", type=float, default=None,
         help="window length in trace clock units (overrides --windows)",
     )
-    stream.add_argument(
-        "--step", type=float, default=None,
-        help="window start spacing (default: the window length; smaller "
-        "values overlap windows, which maximizes warm-shard reuse)",
-    )
-    stream.add_argument("--iterations", type=int, default=30,
-                        help="StEM iterations per window")
     stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument(
-        "--shards", type=int, default=1,
-        help="sharded sweeps per window (clamped to each window's task count)",
-    )
-    stream.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="host the shard sweeps on this many worker processes, kept "
-        "warm across windows (results identical at any worker count)",
-    )
     stream.add_argument(
         "--transport", choices=["pipe", "socket"], default="pipe",
         help="worker transport: OS pipes (default) or loopback TCP "
@@ -206,16 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cold", action="store_true",
         help="tear shard workers down after every window instead of "
         "keeping them warm (the rebuild baseline; same results, slower)",
-    )
-    stream.add_argument(
-        "--kernel", choices=["array", "native", "object"], default="array",
-        help="sweep kernel for every window's E-step chains ('native' "
-        "falls back to 'array' when numba is unavailable)",
-    )
-    stream.add_argument(
-        "--threads", type=int, default=1,
-        help="threads for the batch kernels' chunked evaluation "
-        "(results are bitwise identical at any thread count)",
     )
     stream.add_argument(
         "--anomaly-threshold", type=float, default=4.0,
@@ -255,34 +272,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="estimation window length in trace clock units "
         "(required unless --restore)",
     )
-    # Estimator/stream flags use None sentinels so the --restore branch
+    # Stream and service flags default to None so the --restore branch
     # can tell "explicitly passed" from "defaulted" — a checkpoint freezes
-    # these, and silently ignoring an explicit value would mislead the
+    # them, and silently ignoring an explicit value would mislead the
     # operator.  Real defaults are applied in _cmd_serve.
-    serve.add_argument("--step", type=float, default=None,
-                       help="window start spacing (default: the window length)")
-    serve.add_argument("--iterations", type=int, default=None,
-                       help="StEM iterations per window (default: 30)")
-    serve.add_argument(
-        "--min-observed", type=int, default=None,
-        help="windows with fewer fully observed tasks are skipped (default: 3)",
-    )
     serve.add_argument("--seed", type=int, default=None,
                        help="estimation seed (default: 0)")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="sharded sweeps per window (default: 1)")
-    serve.add_argument("--shard-workers", type=int, default=None,
-                       help="worker processes hosting the shard sweeps")
-    serve.add_argument(
-        "--kernel", choices=["array", "native", "object"], default=None,
-        help="sweep kernel for the window E-steps (default: array; "
-        "'native' falls back to 'array' when numba is unavailable)",
-    )
-    serve.add_argument(
-        "--threads", type=int, default=None,
-        help="threads for the batch kernels' chunked evaluation "
-        "(default: 1; results are bitwise identical at any count)",
-    )
     serve.add_argument(
         "--lateness", type=float, default=None,
         help="grace interval behind the watermark within which measurements "
@@ -312,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--anomaly-threshold", type=float, default=None,
                        help="robust z-score flagging threshold (default: 4)")
-    _add_estimator_flags(serve, sentinel=True)
+    _add_estimator_flags(serve)
 
     ing = sub.add_parser(
         "ingest",
@@ -407,30 +402,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        "including entry queue 0")
     route.add_argument("--window", type=float, required=True,
                        help="estimation window length in trace clock units")
-    route.add_argument("--step", type=float, default=None,
-                       help="window start spacing (default: the window length)")
-    route.add_argument("--iterations", type=int, default=30,
-                       help="StEM iterations per window")
-    route.add_argument("--min-observed", type=int, default=3,
-                       help="windows with fewer fully observed tasks are "
-                       "skipped")
     route.add_argument("--seed", type=int, default=0,
                        help="estimation seed (each service derives its own "
                        "child seed from it)")
-    route.add_argument("--shards", type=int, default=1,
-                       help="sharded sweeps per window, per service")
-    route.add_argument("--shard-workers", type=int, default=None,
-                       help="worker processes hosting each service's shards")
-    route.add_argument(
-        "--kernel", choices=["array", "native", "object"], default="array",
-        help="sweep kernel for every service's window E-steps ('native' "
-        "falls back to 'array' when numba is unavailable)",
-    )
-    route.add_argument(
-        "--threads", type=int, default=1,
-        help="threads for the batch kernels' chunked evaluation, per "
-        "service (results are bitwise identical at any count)",
-    )
     route.add_argument(
         "--lateness", type=float, default=0.0,
         help="grace interval behind the watermark within which measurements "
@@ -574,77 +548,38 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-#: CLI flag attribute -> EstimatorConfig field, for the flag block shared
-#: by stream/serve/route.  Flags a subcommand lacks, or left at a None
-#: sentinel, fall back to the dataclass defaults.
-_ESTIMATOR_FLAG_FIELDS = (
-    ("step", "step"),
-    ("iterations", "stem_iterations"),
-    ("min_observed", "min_observed_tasks"),
-    ("shards", "shards"),
-    ("shard_workers", "shard_workers"),
-    ("kernel", "kernel"),
-    ("threads", "threads"),
-    ("worker_retries", "worker_retries"),
-    ("particles", "n_particles"),
-    ("ess_threshold", "ess_threshold"),
-    ("rejuvenation_sweeps", "rejuvenation_sweeps"),
-)
-
-
-def _estimator_config_from_args(args, window, **overrides):
-    from repro.errors import InferenceError
-    from repro.online import EstimatorConfig
-
-    kwargs = {"window": window}
-    for attr, field in _ESTIMATOR_FLAG_FIELDS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            kwargs[field] = value
-    kwargs.update(overrides)
+def _estimator_config(args, window, **fixed) -> EstimatorConfig:
+    """Build the config from the table's flags (unpassed ones keep the
+    CLI defaults); a rejected value exits naming its flag."""
+    kwargs = {"window": window, **_CLI_DEFAULTS, **fixed}
+    flag, field = "--window", "window"
     try:
-        return EstimatorConfig(**kwargs)
+        config = EstimatorConfig(**kwargs)
+        # One flag at a time, in table order, so the error names the flag
+        # whose value the config rejects.
+        for flag, field, _, _ in _ESTIMATOR_FLAGS:
+            value = getattr(args, _dest(flag))
+            if value is not None:
+                kwargs[field] = value
+                config = EstimatorConfig(**kwargs)
     except InferenceError as exc:
-        raise SystemExit(str(exc))
+        text = re.sub(rf"\b{field}\b", flag, str(exc))
+        raise SystemExit(text if flag in text else f"{flag}: {text}")
+    return config
 
 
 def _build_estimator(name, stream, *, random_state, config, transport=None):
-    from repro.errors import InferenceError
-    from repro.online import get_estimator
-
     try:
-        return get_estimator(name)(
-            stream,
-            random_state=random_state,
-            transport=transport,
-            config=config,
+        return get_estimator(name or "stem")(
+            stream, config, random_state=random_state, transport=transport
         )
     except InferenceError as exc:
+        if transport is not None:
+            transport.close()
         raise SystemExit(str(exc))
 
 
-def _reject_smc_sharding(estimator, shards, shard_workers):
-    if estimator == "smc" and (shards > 1 or shard_workers is not None):
-        raise SystemExit(
-            "--estimator smc rejuvenates every particle in-process; "
-            "drop --shards/--shard-workers"
-        )
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
-    if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
-    if args.shards > 1 and args.kernel not in ("array", "native"):
-        raise SystemExit(
-            "--shards requires the array kernel or its native lowering "
-            "(drop --kernel object)"
-        )
-    if args.threads < 1:
-        raise SystemExit("--threads must be at least 1")
-    if args.shard_workers is not None and args.shard_workers < 1:
-        raise SystemExit("--shard-workers must be at least 1")
-    if args.shard_workers is not None and args.shards == 1:
-        raise SystemExit("--shard-workers requires --shards > 1")
     if args.transport != "pipe" and args.shard_workers is None:
         raise SystemExit(
             "--transport selects the worker transport; pass --shard-workers "
@@ -655,15 +590,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             "--cold tears worker pools down per window; pass --shard-workers "
             "(with --shards > 1) or drop it"
         )
-    if args.window is not None and args.window <= 0.0:
-        raise SystemExit("--window must be positive")
-    if args.step is not None and args.step <= 0.0:
-        raise SystemExit("--step must be positive")
     if args.windows < 1:
         raise SystemExit("--windows must be at least 1")
-    if args.iterations < 1:
-        raise SystemExit("--iterations must be at least 1")
-    _reject_smc_sharding(args.estimator, args.shards, args.shard_workers)
     events = load_jsonl(args.trace)
     trace = TaskSampling(fraction=args.observe).observe(events, random_state=args.seed)
     print(trace.summary())
@@ -671,8 +599,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     window = (
         args.window if args.window is not None else source.horizon / args.windows
     )
+    config = _estimator_config(args, window, warm_workers=not args.cold)
     transport = SocketTransport() if args.transport == "socket" else PipeTransport()
-    config = _estimator_config_from_args(args, window, warm_workers=not args.cold)
     estimator = _build_estimator(
         args.estimator, source,
         random_state=args.seed, config=config, transport=transport,
@@ -716,25 +644,18 @@ def _authkey(value: str | None) -> bytes:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import IngestError
     from repro.live import EstimatorService, LiveServer, LiveTraceStream
 
     if args.restore is not None:
         # Resuming replays the checkpoint's exact configuration; accepting
         # these flags and then ignoring them would let an operator believe
         # the resumed service runs with e.g. different sharding.  The
-        # parser uses None sentinels, so "explicitly passed" is detected
+        # parser defaults them to None, so "explicitly passed" is detected
         # even when the passed value equals the documented default.
-        frozen = (
-            "queues", "window", "step", "iterations", "min_observed",
-            "seed", "shards", "shard_workers", "kernel", "threads",
-            "lateness", "max_pending", "retain", "estimator", "particles",
-            "ess_threshold", "rejuvenation_sweeps", "worker_retries",
-        )
         rejected = [
-            "--" + name.replace("_", "-")
-            for name in frozen
-            if getattr(args, name) is not None
+            flag
+            for flag in _RESTORE_FROZEN + tuple(f[0] for f in _ESTIMATOR_FLAGS)
+            if getattr(args, _dest(flag)) is not None
         ]
         if rejected:
             raise SystemExit(
@@ -762,26 +683,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         if args.queues is None or args.window is None:
             raise SystemExit("--queues and --window are required (or --restore)")
-        if args.window <= 0.0:
-            raise SystemExit("--window must be positive")
-        # Fill the documented defaults behind the None sentinels the
-        # parser uses for --restore detection.
-        shards = 1 if args.shards is None else args.shards
-        if shards < 1:
-            raise SystemExit("--shards must be at least 1")
-        if args.shard_workers is not None and shards == 1:
-            raise SystemExit("--shard-workers requires --shards > 1")
-        kernel = "array" if args.kernel is None else args.kernel
-        if shards > 1 and kernel not in ("array", "native"):
-            raise SystemExit(
-                "--shards requires the array kernel or its native lowering "
-                "(drop --kernel object)"
-            )
-        threads = 1 if args.threads is None else args.threads
-        if threads < 1:
-            raise SystemExit("--threads must be at least 1")
-        estimator_name = "stem" if args.estimator is None else args.estimator
-        _reject_smc_sharding(estimator_name, shards, args.shard_workers)
+        config = _estimator_config(args, args.window)
         stream = LiveTraceStream(
             n_queues=args.queues,
             lateness=0.0 if args.lateness is None else args.lateness,
@@ -790,15 +692,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             retain=args.retain,
         )
-        # The serve parser keeps its historical default of 30 StEM
-        # iterations; every other None sentinel falls back to the
-        # EstimatorConfig dataclass defaults.
-        config = _estimator_config_from_args(
-            args, args.window,
-            stem_iterations=30 if args.iterations is None else args.iterations,
-        )
         estimator = _build_estimator(
-            estimator_name, stream,
+            args.estimator, stream,
             random_state=0 if args.seed is None else args.seed,
             config=config,
         )
@@ -830,7 +725,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.close()
         service.stop()
-    health = service.health()
+    health = service.health()["service"]
     print(f"served {health['windows_published']} windows "
           f"({health['anomalies']} anomaly flags); status: {health['status']}")
     if health["status"] == "failed":
@@ -844,43 +739,17 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
     if args.services < 1:
         raise SystemExit("--services must be at least 1")
-    if args.window <= 0.0:
-        raise SystemExit("--window must be positive")
-    if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
-    if args.shard_workers is not None and args.shards == 1:
-        raise SystemExit("--shard-workers requires --shards > 1")
-    if args.shards > 1 and args.kernel not in ("array", "native"):
-        raise SystemExit(
-            "--shards requires the array kernel or its native lowering "
-            "(drop --kernel object)"
-        )
-    if args.threads < 1:
-        raise SystemExit("--threads must be at least 1")
-    _reject_smc_sharding(args.estimator, args.shards, args.shard_workers)
+    config = _estimator_config(args, args.window)
     service_config = {
         "n_queues": args.queues,
-        "window": args.window,
-        "estimator": args.estimator,
-        "stem_iterations": args.iterations,
-        "min_observed_tasks": args.min_observed,
+        "estimator": args.estimator or "stem",
         "random_state": args.seed,
-        "shards": args.shards,
-        "kernel": args.kernel,
-        "threads": args.threads,
-        "worker_retries": args.worker_retries,
-        "n_particles": args.particles,
-        "ess_threshold": args.ess_threshold,
-        "rejuvenation_sweeps": args.rejuvenation_sweeps,
+        **config.as_dict(),
         "lateness": args.lateness,
         "max_pending": args.max_pending,
         "checkpoint_every": args.checkpoint_every,
         "anomaly_threshold": args.anomaly_threshold,
     }
-    if args.step is not None:
-        service_config["step"] = args.step
-    if args.shard_workers is not None:
-        service_config["shard_workers"] = args.shard_workers
     if args.retain is not None:
         service_config["retain"] = args.retain
     router = IngestRouter(
@@ -893,7 +762,10 @@ def _cmd_route(args: argparse.Namespace) -> int:
         probe_interval=args.probe_interval,
     )
     print(f"starting {args.services} partition services ...")
-    router.start()
+    try:
+        router.start()
+    except IngestError as exc:
+        raise SystemExit(f"cannot start the routing tier: {exc}")
     # The router implements the full service command surface, so the
     # stock LiveServer fronts the whole tier unchanged.
     server = LiveServer(
@@ -915,13 +787,14 @@ def _cmd_route(args: argparse.Namespace) -> int:
         server.close()
         health = router.health()
         router.close()
-    print(f"served {health['windows_published']} windows "
-          f"({health['anomalies']} anomaly flags) across "
+    service = health["service"]
+    print(f"served {service['windows_published']} windows "
+          f"({service['anomalies']} anomaly flags) across "
           f"{health['router']['n_partitions']} services; "
-          f"status: {health['status']}; "
+          f"status: {service['status']}; "
           f"service restarts: {health['router']['n_restarts']}")
-    if health["status"] == "failed":
-        print(f"estimator error: {health['error']}", file=sys.stderr)
+    if service["status"] == "failed":
+        print(f"estimator error: {service['error']}", file=sys.stderr)
         return 1
     return 0
 
@@ -929,7 +802,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import time
 
-    from repro.errors import IngestError
     from repro.live import LiveClient, replay_batches
 
     host, _, port = args.connect.rpartition(":")
@@ -939,8 +811,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         raise SystemExit("--speedup must be >= 0")
     if args.batch < 1:
         raise SystemExit("--batch must be at least 1")
-    from repro.errors import InferenceError
-
     events = load_jsonl(args.trace)
     trace = TaskSampling(fraction=args.observe).observe(events, random_state=args.seed)
     print(trace.summary())
@@ -981,7 +851,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             if args.no_seal:
                 raise SystemExit("--wait needs the stream sealed; drop --no-seal")
             while True:
-                health = client.health()
+                health = client.health()["service"]
                 if health["status"] in ("finished", "failed", "stopped"):
                     break
                 time.sleep(0.2)
@@ -1017,7 +887,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     import time
 
-    from repro.errors import IngestError
     from repro.live import LiveClient
     from repro.telemetry.console import render_top
 

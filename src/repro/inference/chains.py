@@ -93,7 +93,6 @@ class ChainSpec:
     thin: int
     burn_in: int
     shuffle: bool
-    batch_draws: bool
     kernel: str = "array"
     shards: int = 1
 
@@ -125,7 +124,6 @@ def run_chain(spec: ChainSpec) -> PosteriorSamples:
         spec.rates,
         random_state=spec.sweep_seed,
         shuffle=spec.shuffle,
-        batch_draws=spec.batch_draws,
         kernel=spec.kernel,
         shards=spec.shards,
     )
@@ -155,10 +153,8 @@ class MultiChainSampler:
     lp_size_limit:
         Largest trace (in events) for which chain 1 uses the exact LP
         initializer.
-    shuffle, batch_draws:
-        Passed to every :class:`~repro.inference.gibbs.GibbsSampler`;
-        batched draws default on here because the multi-chain stream has
-        no historical single-chain run to stay bit-compatible with.
+    shuffle:
+        Passed to every :class:`~repro.inference.gibbs.GibbsSampler`.
     kernel:
         Sweep engine for every chain (see
         :class:`~repro.inference.gibbs.GibbsSampler`).
@@ -179,7 +175,6 @@ class MultiChainSampler:
         jitter: float = 0.15,
         lp_size_limit: int = 6000,
         shuffle: bool = True,
-        batch_draws: bool = True,
         kernel: str = "array",
         shards: int = 1,
     ) -> None:
@@ -194,7 +189,6 @@ class MultiChainSampler:
         self.n_chains = int(n_chains)
         self.jitter = float(jitter)
         self.shuffle = shuffle
-        self.batch_draws = batch_draws
         self.kernel = kernel
         if shards < 1:
             raise InferenceError(f"need at least one shard, got {shards}")
@@ -230,7 +224,6 @@ class MultiChainSampler:
                 thin=thin,
                 burn_in=burn_in,
                 shuffle=self.shuffle,
-                batch_draws=self.batch_draws,
                 kernel=self.kernel,
                 shards=self.shards,
             )

@@ -25,23 +25,16 @@ Sweeps run on one of two engines, selected by the ``kernel`` argument:
   allocation.  The scan remains sequential across batches, so every draw is
   exact; only the random stream differs from the object kernel.
 * ``kernel="object"``: the reference per-move scalar path, with the
-  optimizations below.
+  blanket cache below.
 
-Two object-kernel sweep-speed optimizations are available and on by default:
-
-* **blanket caching** (``cache_blankets=True``): the static neighbor
-  indices of every move's Markov blanket are extracted once at
-  construction instead of re-derived from the :class:`~repro.events.EventSet`
-  on every move; draws are bitwise identical to the uncached sweep.  The
-  cache tracks ``EventSet.structure_version`` and rebuilds itself after
-  path-MH queue reassignments, so interleaving with
-  :class:`~repro.inference.paths_mh.PathResampler` stays correct.
-* **batched draws** (``batch_draws=True``, off by default): all the
-  uniforms a sweep can consume are drawn in one generator call up front.
-  This produces a *different* (still exact and fully deterministic) random
-  stream than the scalar-draw sweep, because every visited move consumes
-  its two uniforms whether or not the move is skipped; use the default
-  when bit-compatibility with historical runs matters.
+The object kernel caches blankets by default
+(``cache_blankets=True``): the static neighbor indices of every move's
+Markov blanket are extracted once at construction instead of re-derived
+from the :class:`~repro.events.EventSet` on every move; draws are bitwise
+identical to the uncached sweep, which stays as the scalar oracle.  The
+cache tracks ``EventSet.structure_version`` and rebuilds itself after
+path-MH queue reassignments, so interleaving with
+:class:`~repro.inference.paths_mh.PathResampler` stays correct.
 """
 
 from __future__ import annotations
@@ -125,10 +118,6 @@ class GibbsSampler:
         Precompute the static Markov-blanket indices of every move (see
         module docstring).  Draw-for-draw identical to the uncached sweep.
         Only meaningful for ``kernel="object"``.
-    batch_draws:
-        Pre-draw each sweep's uniforms in one generator call (implies the
-        blanket cache; changes the random stream — see module docstring).
-        Only meaningful for ``kernel="object"``.
     kernel:
         ``"array"`` (default) runs sweeps on the vectorized
         :class:`~repro.inference.kernel.ArraySweepKernel`: moves are
@@ -192,7 +181,6 @@ class GibbsSampler:
         random_state: RandomState = None,
         shuffle: bool = True,
         cache_blankets: bool = True,
-        batch_draws: bool = False,
         kernel: str = "array",
         shards: int = 1,
         shard_workers: int | None = None,
@@ -238,10 +226,7 @@ class GibbsSampler:
         self.shard_workers = shard_workers
         self.threads = int(threads)
         # The array kernel is built on top of the blanket caches.
-        self.cache_blankets = (
-            bool(cache_blankets) or bool(batch_draws) or kernel in BATCH_KERNELS
-        )
-        self.batch_draws = bool(batch_draws)
+        self.cache_blankets = bool(cache_blankets) or kernel in BATCH_KERNELS
         self._arrival_moves = trace.latent_arrival_events.copy()
         self._departure_moves = trace.latent_departure_events.copy()
         self._arrival_slots = np.arange(self._arrival_moves.size)
@@ -486,13 +471,12 @@ class GibbsSampler:
         return stats
 
     def _sweep_cached(self) -> SweepStats:
-        """Blanket-cached sweep, optionally with batched uniform draws.
+        """Blanket-cached sweep.
 
-        With ``batch_draws=False`` this consumes the generator exactly like
-        :meth:`_sweep_reference` (slot permutations draw the same variates
-        as event permutations of equal length; each non-skipped move draws
-        its two uniforms scalar-by-scalar) and therefore reproduces its
-        output bitwise.
+        Consumes the generator exactly like :meth:`_sweep_reference`
+        (slot permutations draw the same variates as event permutations
+        of equal length; each non-skipped move draws its two uniforms
+        scalar-by-scalar) and therefore reproduces its output bitwise.
         """
         stats = SweepStats()
         arr_cache, dep_cache = self._fresh_caches()
@@ -505,33 +489,6 @@ class GibbsSampler:
         state = self.state
         arrival = state.arrival
         departure = state.departure
-        if self.batch_draws:
-            # One generator call covers the whole sweep.  Every visited
-            # move consumes its pair, skipped or not, which keeps the
-            # draw-to-move alignment independent of the skip pattern.
-            draws = rng.random(2 * (arr_order.size + dep_order.size))
-            pos = 0
-            for i in arr_order:
-                u, v = draws[pos], draws[pos + 1]
-                pos += 2
-                dist = arrival_conditional_cached(arrival, departure, arr_cache, i)
-                if dist is None:
-                    stats.n_skipped += 1
-                    continue
-                state.set_arrival(arr_cache.events[i], dist.sample_uv(u, v, rng))
-                stats.n_moves += 1
-            for i in dep_order:
-                u, v = draws[pos], draws[pos + 1]
-                pos += 2
-                dist = final_departure_conditional_cached(
-                    arrival, departure, dep_cache, i
-                )
-                if dist is None:
-                    stats.n_skipped += 1
-                    continue
-                departure[dep_cache.events[i]] = dist.sample_uv(u, v, rng)
-                stats.n_moves += 1
-            return stats
         for i in arr_order:
             dist = arrival_conditional_cached(arrival, departure, arr_cache, i)
             if dist is None:

@@ -464,8 +464,7 @@ class ArraySweepKernel:
         Batches are processed sequentially (arrival batches, then departure
         batches); *shuffle* permutes the batch order each sweep.  Every move
         in a batch consumes its two uniforms whether it is skipped or not,
-        so the draw-to-move alignment is independent of the skip pattern,
-        exactly like the object kernel's batched-draw mode.
+        so the draw-to-move alignment is independent of the skip pattern.
         """
         if self.structure_version != state.structure_version:
             raise InferenceError(

@@ -308,10 +308,10 @@ class PiecewiseExponential:
     ) -> float:
         """:meth:`sample` driven by two externally supplied uniforms.
 
-        *u* selects the piece, *v* inverts the within-piece CDF.  Used by
-        the Gibbs sampler's batched-draw sweep, which pre-draws all the
-        uniforms of a sweep in one generator call; *random_state* is only
-        consulted for the unbounded-tail case (an exponential draw).
+        *u* selects the piece, *v* inverts the within-piece CDF — the
+        scalar reference for the array kernel's vectorized inverse CDF;
+        *random_state* is only consulted for the unbounded-tail case (an
+        exponential draw).
         Given the same two uniforms this returns bitwise the same value as
         :meth:`sample`.
         """

@@ -60,11 +60,7 @@ import inspect
 from repro import telemetry
 from repro.errors import IngestError, ReproError
 from repro.live.server import DEFAULT_AUTHKEY, LiveClient, LiveServer
-from repro.live.service import (
-    EstimatorService,
-    flatten_health,
-    render_metrics_report,
-)
+from repro.live.service import EstimatorService, render_metrics_report
 from repro.live.stream import LiveTraceStream
 from repro.online import EstimatorConfig, estimator_config_keys, get_estimator
 from repro.rng import as_seed_sequence
@@ -96,12 +92,13 @@ _SERVICE_KEYS = ("checkpoint_every", "poll_interval", "anomaly_threshold")
 _SUMMARY_KEYS = ("admitted", "duplicates", "late", "stragglers",
                  "dropped_tasks", "resolved_slots")
 
-#: Health counters summed across partitions into the merged record.
-_HEALTH_SUMS = (
-    "windows_published", "anomalies", "n_revealed", "n_pending",
-    "n_admitted", "n_duplicates", "n_late", "n_stragglers",
-    "n_dropped_tasks", "n_retained_tasks", "n_compacted_tasks",
-    "n_records_seen",
+#: Health counters summed across partitions into the merged record,
+#: per section.
+_SERVICE_SUMS = ("windows_published", "anomalies", "n_records_seen")
+_STREAM_SUMS = (
+    "n_revealed", "n_pending", "n_admitted", "n_duplicates", "n_late",
+    "n_stragglers", "n_dropped_tasks", "n_retained_tasks",
+    "n_compacted_tasks",
 )
 
 
@@ -477,9 +474,8 @@ class IngestRouter:
         ):
             self._restore_partition(handle)
             return
-        health = handle.client.health()
-        meta = health.get("checkpoint_meta") or {}
-        handle.trim_spool(int(meta.get("n_seen", 0)))
+        meta = handle.client.health()["service"].get("checkpoint_meta")
+        handle.trim_spool(int((meta or {}).get("n_seen", 0)))
 
     def _restore_partition(self, handle: _PartitionHandle) -> None:
         """Restart a dead partition from its checkpoint, replay the spool.
@@ -498,10 +494,8 @@ class IngestRouter:
         handle.stop(graceful=False)
         handle.spawn(restore=True)
         try:
-            health = handle.client.health()
-            covered = int(
-                (health.get("checkpoint_meta") or {}).get("n_seen", 0)
-            )
+            meta = handle.client.health()["service"].get("checkpoint_meta")
+            covered = int((meta or {}).get("n_seen", 0))
         except IngestError:
             covered = 0
         handle.trim_spool(covered)
@@ -719,9 +713,15 @@ class IngestRouter:
             try:
                 partitions.append(self._forward(p, "health"))
             except (IngestError, ReproError, OSError) as exc:
-                partitions.append({"status": "unreachable",
-                                   "error": str(exc)})
-        statuses = [h.get("status") for h in partitions]
+                partitions.append({
+                    "schema": 1,
+                    "service": {"status": "unreachable", "error": str(exc)},
+                    "stream": None,
+                    "workers": None,
+                })
+        services = [h["service"] for h in partitions]
+        streams = [h["stream"] or {} for h in partitions]
+        statuses = [s["status"] for s in services]
         if "failed" in statuses:
             status = "failed"
         elif "unreachable" in statuses:
@@ -732,29 +732,29 @@ class IngestRouter:
             status = statuses[0]
         else:
             status = "serving"
-        sums = {
-            key: sum(int(h.get(key) or 0) for h in partitions)
-            for key in _HEALTH_SUMS
-        }
         service = {
             "status": status,
             "error": next(
-                (h["error"] for h in partitions if h.get("error")), None
+                (s["error"] for s in services if s.get("error")), None
             ),
             "horizon": max(
-                (h.get("horizon", 0.0) for h in partitions), default=0.0
+                (s.get("horizon", 0.0) for s in services), default=0.0
             ),
-            "windows_published": sums.pop("windows_published"),
-            "anomalies": sums.pop("anomalies"),
-            "n_records_seen": sums.pop("n_records_seen"),
+            **{
+                key: sum(int(s.get(key) or 0) for s in services)
+                for key in _SERVICE_SUMS
+            },
         }
         stream_section = {
             "watermark": min(
-                (h["watermark"] for h in partitions if "watermark" in h),
+                (s["watermark"] for s in streams if "watermark" in s),
                 default=0.0,
             ),
-            "sealed": all(h.get("sealed", False) for h in partitions),
-            **sums,
+            "sealed": all(s.get("sealed", False) for s in streams),
+            **{
+                key: sum(int(s.get(key) or 0) for s in streams)
+                for key in _STREAM_SUMS
+            },
         }
         record: dict = {
             "schema": 1,
@@ -783,7 +783,7 @@ class IngestRouter:
             }
         record["router"] = router
         record["partitions"] = partitions
-        return flatten_health(record)
+        return record
 
     def metrics_report(self, fmt: str = "snapshot"):
         """Tier-wide telemetry: every partition's report tagged with a

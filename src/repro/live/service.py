@@ -76,23 +76,6 @@ def render_metrics_report(report: dict, fmt: str):
     )
 
 
-def flatten_health(record: dict) -> dict:
-    """Mirror a schema-1 health record's nested sections as flat keys.
-
-    Compatibility shim for pre-schema consumers (one release only):
-    every key of ``service`` and ``stream`` reappears at the top level,
-    exactly as the flat records of earlier releases spelled them.  The
-    ``workers`` and ``server`` sections were already flat keys before.
-    """
-    flat = dict(record)
-    for section in ("service", "stream"):
-        body = record.get(section)
-        if isinstance(body, dict):
-            for key, value in body.items():
-                flat.setdefault(key, value)
-    return flat
-
-
 def estimate_to_record(estimate: WindowEstimate, index: int) -> dict:
     """Flatten a window estimate into a plain, wire-friendly dict."""
     return {
@@ -423,9 +406,7 @@ class EstimatorService:
         Schema 1 nests the record into ``service`` / ``stream`` /
         ``workers`` sections (``stream`` and ``workers`` are ``None``
         when the service has no live stream / no worker pool; the wire
-        server adds a ``server`` section).  Every pre-schema flat key is
-        still mirrored at the top level for one release — see
-        :func:`flatten_health`.
+        server adds a ``server`` section).
         """
         with self._lock:
             status = self._status
@@ -469,7 +450,7 @@ class EstimatorService:
             # next window trips over it, and the relaunch tally after.
             "workers": self.estimator.pool_stats(),
         }
-        return flatten_health(record)
+        return record
 
     def metrics_report(self, fmt: str = "snapshot"):
         """This process's telemetry (the ``metrics`` wire command).

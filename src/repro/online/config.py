@@ -1,16 +1,15 @@
 """Shared estimator configuration: one dataclass, every construction path.
 
-Before this module existed the estimator knobs were a 13-kwarg signature
-copy-pasted across ``StreamingEstimator``, ``EstimatorService`` checkpoints,
-``IngestRouter`` key tuples, and two CLI call sites.  ``EstimatorConfig``
-is now the single source of truth: estimators hold one, checkpoints carry
+``EstimatorConfig`` is the only code that knows the estimator settings:
+estimators are constructed from one, checkpoints carry
 ``dataclasses.asdict(config)``, the router filters its ``service_config``
-against :func:`estimator_config_keys`, and the CLI builds one instance and
-hands it to whichever estimator the ``--estimator`` flag names.
+against :func:`estimator_config_keys`, and the CLI derives the
+``stream``/``serve``/``route`` flags from its fields and hands the built
+instance to whichever estimator the ``--estimator`` flag names.
 
-Validation lives in ``__post_init__`` so every path — legacy kwargs, the
-``config=`` spelling, checkpoint restore, router service configs — rejects
-bad values with the same messages the old constructor raised.
+Validation lives in ``__post_init__`` so every path — direct
+construction, checkpoint restore, router service configs, CLI flags —
+rejects bad values with the same messages.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 from repro.errors import InferenceError
-from repro.inference.gibbs import KERNELS
+from repro.inference.gibbs import BATCH_KERNELS, KERNELS
 from repro.online.windowed import validate_window_params
 
 #: How the streaming estimator re-partitions work between windows.
@@ -31,13 +30,58 @@ REPARTITION_MODES = ("incremental", "cold")
 class EstimatorConfig:
     """Every estimator knob, in one validated place.
 
-    ``window`` is the only required field.  ``step`` defaults to the
-    window (non-overlapping).  The StEM fields (``stem_iterations``,
-    ``shards``, ``shard_workers``, ``repartition``, ``warm_workers``) are
-    ignored by the SMC estimator; the SMC fields (``n_particles``,
+    ``window`` is the only required field.  The StEM fields
+    (``stem_iterations``, ``shards``, ``shard_workers``, ``repartition``,
+    ``warm_workers``) are ignored by the SMC estimator, which rejects
+    sharding outright; the SMC fields (``n_particles``,
     ``ess_threshold``, ``rejuvenation_sweeps``) are ignored by StEM.
     Both estimators honor ``kernel``/``threads``/``worker_retries`` and
     the window geometry.
+
+    Attributes
+    ----------
+    window:
+        Window length, in trace clock units.
+    step:
+        Window start spacing; defaults to the window (tumbling windows).
+        Smaller values overlap windows, which maximizes warm-shard reuse.
+    stem_iterations:
+        StEM iterations per window (also sizes SMC's rejuvenation
+        burn-in, ``stem_iterations // 2``).
+    min_observed_tasks:
+        Windows with fewer fully observed tasks are skipped
+        (``rates=None``).
+    shards:
+        Sharded sweeps per window, clamped to each window's task count.
+        ``shards > 1`` requires kernel ``"array"`` or ``"native"``.
+    shard_workers:
+        With ``shards > 1``: host the shard sweeps on this many worker
+        processes.  Results are bitwise identical at any worker count.
+    repartition:
+        ``"incremental"`` carries the task partition across windows,
+        maximizing warm-shard reuse; ``"cold"`` re-partitions every
+        window from scratch, which keeps every window bitwise equal to
+        the windowed estimator.
+    warm_workers:
+        Keep one shard worker pool for the whole stream (default), or
+        spawn and tear down a dedicated pool per window (the rebuild
+        baseline).  Results are bitwise identical either way.
+    kernel:
+        Sweep kernel for every window's E-step chains: ``"array"``, its
+        JIT-compiled lowering ``"native"``, or the scalar ``"object"``
+        reference.
+    threads:
+        Thread count for the batch kernels' chunked evaluation; draws
+        are bitwise invariant to it.
+    worker_retries:
+        How many times a window whose worker pool died under it is re-run
+        on a relaunched pool before its failure is recorded as data.  A
+        retried window re-derives its draws from the same per-window seed
+        child, so its estimate is bitwise the uninterrupted one.
+    n_particles / ess_threshold / rejuvenation_sweeps:
+        SMC population size; the fraction of it the effective sample
+        size may fall to before a resample + rejuvenation pass; Gibbs
+        sweeps per particle per pass.
     """
 
     window: float
@@ -65,6 +109,11 @@ class EstimatorConfig:
         if self.kernel not in KERNELS:
             raise InferenceError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
+            )
+        if self.shards > 1 and self.kernel not in BATCH_KERNELS:
+            raise InferenceError(
+                f"shards > 1 requires kernel 'array' or 'native', "
+                f"got {self.kernel!r}"
             )
         self.threads = int(self.threads)
         if self.threads < 1:

@@ -61,7 +61,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.errors import InferenceError
+from repro.errors import InferenceError, ReproError
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.init_heuristic import initial_rates_from_observed
 from repro.inference.mstep import mle_rates_from_stats
@@ -141,18 +141,18 @@ def _normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
 class SMCEstimator(StreamingEstimator):
     """Particle-filter streaming estimator behind the StEM surface.
 
-    Construction mirrors :class:`~repro.online.streaming.StreamingEstimator`
-    (same kwargs, same ``config=`` spelling, same seed discipline); the
-    SMC-specific knobs are ``n_particles``, ``ess_threshold``, and
-    ``rejuvenation_sweeps`` on :class:`~repro.online.config.EstimatorConfig`.
-    Rejuvenation runs in-process on the shared sweep kernel, so the
-    sharded-sweep knobs are rejected rather than silently ignored.
+    Construction is :class:`~repro.online.streaming.StreamingEstimator`'s
+    (same arguments, same seed discipline); the SMC-specific knobs are
+    ``n_particles``, ``ess_threshold``, and ``rejuvenation_sweeps`` on
+    :class:`~repro.online.config.EstimatorConfig`.  Rejuvenation runs
+    in-process on the shared sweep kernel, so the sharded-sweep knobs are
+    rejected rather than silently ignored.
     """
 
     estimator_name = "smc"
 
-    def __init__(self, stream, *args, **kwargs) -> None:
-        super().__init__(stream, *args, **kwargs)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.shards != 1 or self.shard_workers:
             raise InferenceError(
                 "the SMC estimator rejuvenates every particle in-process "
@@ -213,7 +213,7 @@ class SMCEstimator(StreamingEstimator):
         failure = None
         try:
             rates = self._advance(tasks, arrived, interval, window_seed)
-        except InferenceError as exc:
+        except ReproError as exc:
             failure = str(exc)  # a failed window is data, not a crash
         return StreamEstimate(
             t0, t1, len(tasks), n_observed, rates, failure,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.errors import InferenceError
+from repro.errors import InferenceError, ReproError
 from repro.events.subset import SubsetIndex, subset_trace
 from repro.inference import run_stem
 from repro.inference.shard import (
@@ -48,10 +48,7 @@ from repro.inference.shard import (
 )
 from repro.inference.transport import WorkerTransport
 from repro.observation import ObservedTrace
-
-# Re-exported for backward compatibility (REPARTITION_MODES lived here
-# before the config extraction).
-from repro.online.config import REPARTITION_MODES, EstimatorConfig
+from repro.online.config import EstimatorConfig
 from repro.online.windowed import (
     WindowEstimate,
     _entry_time_estimates,
@@ -186,56 +183,21 @@ class StreamingEstimator:
     stream:
         The revealed trace (a :class:`ReplayTraceStream` for recorded
         data).
-    window / step / stem_iterations / min_observed_tasks / random_state:
-        As in :class:`~repro.online.windowed.WindowedEstimator` — and
-        seeded identically: window *i* consumes the *i*-th spawn of the
-        seed material, so a frozen window matches the windowed path
-        bitwise.
-    shards:
-        Sharded sweeps per window (clamped to each window's task count).
-    shard_workers:
-        With ``shards > 1``: host the shard sweeps on this many worker
-        processes.  Warm by default (one
-        :class:`~repro.inference.shard.WarmShardWorkerPool` for the whole
-        stream); ``warm_workers=False`` spawns and tears down a dedicated
-        pool per window instead — the cold-rebuild baseline the streaming
-        design exists to beat (``benchmarks/bench_streaming.py`` asserts
-        it does).  Results are bitwise identical either way.
+    config:
+        Every estimator setting, documented on
+        :class:`~repro.online.config.EstimatorConfig`.
+    random_state:
+        Seed material, consumed as in
+        :class:`~repro.online.windowed.WindowedEstimator`: window *i*
+        uses the *i*-th spawn, so a frozen window matches the windowed
+        path bitwise.
     transport:
-        Worker transport for the pool (see
+        Worker transport for the shard pool (see
         :mod:`repro.inference.transport`); pipes by default, sockets for
         cross-machine workers.  The estimator takes ownership: its
         :meth:`close` (and therefore :meth:`run`) also closes the
         transport, releasing e.g. a
         :class:`~repro.inference.transport.SocketTransport` listener.
-    repartition:
-        ``"incremental"`` (default) carries the task partition across
-        windows via
-        :func:`~repro.inference.shard.refresh_partition`, maximizing
-        warm-shard reuse; ``"cold"`` re-partitions every window from
-        scratch, which keeps every window bitwise equal to the windowed
-        estimator (the equivalence-test mode).
-    kernel:
-        Sweep kernel for every window's E-step chains (see
-        :class:`~repro.inference.gibbs.GibbsSampler`): ``"array"``
-        (default), its JIT-compiled lowering ``"native"``, or
-        ``"object"``.
-    threads:
-        Thread count for the batch kernels' chunked evaluation; draws
-        are bitwise invariant to it.
-    worker_retries:
-        How many times a window whose worker pool died under it (a
-        killed or crashed worker process) is re-run on a relaunched pool
-        before its failure is recorded as data.  Operational policy, not
-        statistical state: a retried window re-derives its draws from
-        the same per-window seed child, so the estimate is bitwise what
-        an uninterrupted run would have published.
-    config:
-        The one-argument spelling: a prebuilt
-        :class:`~repro.online.config.EstimatorConfig` instead of the
-        individual knobs above.  Mutually exclusive with ``window``;
-        ``stream``/``random_state``/``transport`` stay separate because
-        they are runtime substrate, not configuration.
     """
 
     #: Registry name carried in checkpoints (see ``repro.online.ESTIMATORS``).
@@ -244,50 +206,10 @@ class StreamingEstimator:
     def __init__(
         self,
         stream: TraceStream,
-        window: float | None = None,
-        step: float | None = None,
-        stem_iterations: int = 40,
-        min_observed_tasks: int = 3,
+        config: EstimatorConfig,
         random_state: RandomState = None,
-        shards: int = 1,
-        shard_workers: int | None = None,
         transport: WorkerTransport | None = None,
-        repartition: str = "incremental",
-        warm_workers: bool = True,
-        kernel: str = "array",
-        threads: int = 1,
-        worker_retries: int = 1,
-        n_particles: int = 16,
-        ess_threshold: float = 0.5,
-        rejuvenation_sweeps: int = 1,
-        config: EstimatorConfig | None = None,
     ) -> None:
-        if config is not None:
-            if window is not None:
-                raise InferenceError(
-                    "pass either config= or the individual knobs, not both"
-                )
-        elif window is None:
-            raise InferenceError("either window= or config= is required")
-        else:
-            # The legacy kwarg spelling is a shim over the dataclass:
-            # same knobs, same validation, same error messages.
-            config = EstimatorConfig(
-                window=window,
-                step=step,
-                stem_iterations=stem_iterations,
-                min_observed_tasks=min_observed_tasks,
-                shards=shards,
-                shard_workers=shard_workers,
-                repartition=repartition,
-                warm_workers=warm_workers,
-                kernel=kernel,
-                threads=threads,
-                worker_retries=worker_retries,
-                n_particles=n_particles,
-                ess_threshold=ess_threshold,
-                rejuvenation_sweeps=rejuvenation_sweeps,
-            )
         #: The estimator's validated configuration (single source of truth;
         #: the knob attributes below are read-only views into it).
         self.config = config
@@ -604,7 +526,7 @@ class StreamingEstimator:
                     threads=self.threads,
                 )
                 rates = stem.rates
-            except InferenceError as exc:
+            except ReproError as exc:
                 if pool is not None and pool.closed and relaunches_left > 0:
                     # The warm pool died under the window (a kill -9'd or
                     # crashed worker shuts the whole pool down).  Relaunch
@@ -616,7 +538,9 @@ class StreamingEstimator:
                     if telemetry.enabled():
                         telemetry.counter("repro_worker_relaunches_total").inc()
                     continue
-                failure = str(exc)  # a failed window is data, not a crash
+                # A failed window is data, not a crash — including a
+                # window whose records no feasible latent state fits.
+                failure = str(exc)
             break
         adoption = pool.last_adoption if pool is not None else {}
         return StreamEstimate(

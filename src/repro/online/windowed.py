@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InferenceError
+from repro.errors import InferenceError, ReproError
 from repro.events.subset import SubsetIndex, subset_trace
 from repro.inference import run_stem
 from repro.observation import ObservedTrace
@@ -29,7 +29,7 @@ class WindowEstimate:
         ``None`` when the window held too little observed data or its
         estimation failed.
     failure:
-        Why estimation failed (the :class:`~repro.errors.InferenceError`
+        Why estimation failed (the :class:`~repro.errors.ReproError`
         message), or ``None`` for successful and skipped windows alike.
     """
 
@@ -162,10 +162,11 @@ class WindowedEstimator:
     def run(self) -> list[WindowEstimate]:
         """Estimate every window; returns them in time order.
 
-        A window whose StEM run raises
-        :class:`~repro.errors.InferenceError` is recorded as a failed
-        window (``rates=None``, the reason on ``failure``) — a failed
-        window is data, not a crash.  Programming errors propagate.
+        A window whose StEM run raises a :class:`~repro.errors.ReproError`
+        (an inference failure, or records no feasible latent state fits)
+        is recorded as a failed window (``rates=None``, the reason on
+        ``failure``) — a failed window is data, not a crash.  Programming
+        errors propagate.
         """
         horizon = max(self._entries.values())
         starts = np.arange(0.0, horizon, self.step)
@@ -193,7 +194,7 @@ class WindowedEstimator:
                     threads=self.threads,
                 )
                 rates = stem.rates
-            except InferenceError as exc:
+            except ReproError as exc:
                 failure = str(exc)
             results.append(
                 WindowEstimate(t0, t1, len(tasks), n_observed, rates, failure)

@@ -105,7 +105,7 @@ def render_top(
     """Render one console frame; every input is the matching wire reply.
 
     ``health`` is a schema-1 record from either a single service or a
-    router tier (flat compatibility keys are not consulted);
+    router tier;
     ``estimates`` the window-estimate records; ``report`` a metrics
     *snapshot* report; ``anomalies`` the flagged (window, queue) reports.
     """
@@ -145,7 +145,8 @@ def render_top(
         partitions = (health or {}).get("partitions") or []
         up = sum(
             1 for p in partitions
-            if p.get("status") not in ("unreachable", "failed")
+            if (p.get("service") or {}).get("status")
+            not in ("unreachable", "failed")
         )
         lines.append(
             f"partitions {liveness_dots(up, len(partitions))} "

@@ -71,7 +71,7 @@ SPEC: dict[str, tuple[str, str, str]] = {
         "Windows skipped for insufficient observed tasks."),
     "repro_windows_failed_total": (
         "counter", "estimator",
-        "Windows that exhausted worker-relaunch retries and published a failure."),
+        "Windows that published a failure (infeasible records, or worker-relaunch retries exhausted)."),
     "repro_worker_relaunches_total": (
         "counter", "estimator",
         "Warm shard worker pool relaunches after a worker death."),

@@ -101,7 +101,7 @@ class TestMultiChainSampler:
         """K=1 is exactly one GibbsSampler.collect run at the spawned seed."""
         rates = tandem_sim.true_rates()
         mc = MultiChainSampler(
-            tandem_trace, rates, n_chains=1, random_state=7, batch_draws=True
+            tandem_trace, rates, n_chains=1, random_state=7
         )
         post = mc.collect(n_samples=6, thin=2, burn_in=3)
         _, sweep_seed = chain_seed_sequences(7, 1)[0]
@@ -110,7 +110,6 @@ class TestMultiChainSampler:
             heuristic_initialize(tandem_trace, rates),
             rates,
             random_state=sweep_seed,
-            batch_draws=True,
         ).collect(n_samples=6, thin=2, burn_in=3)
         np.testing.assert_array_equal(
             post.chains[0].mean_service, reference.mean_service

@@ -21,7 +21,7 @@ from repro.live import (
 )
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online.streaming import StreamingEstimator
+from repro.online import EstimatorConfig, StreamingEstimator
 from repro.simulate import simulate_network
 
 #: Sections every schema-1 health record must carry.
@@ -40,7 +40,7 @@ def wait_finished(health_fn, timeout=60.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         health = health_fn()
-        if health["status"] in ("finished", "failed"):
+        if health["service"]["status"] in ("finished", "failed"):
             return health
         time.sleep(0.05)
     raise AssertionError("service did not finish in time")
@@ -53,8 +53,10 @@ def service_replies():
     with telemetry.isolated(enabled=True):
         stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
         estimator = StreamingEstimator(
-            stream, window=horizon / 2, stem_iterations=6,
-            min_observed_tasks=2, random_state=5,
+            stream, random_state=5,
+            config=EstimatorConfig(
+                window=horizon / 2, stem_iterations=6, min_observed_tasks=2,
+            ),
         )
         service = EstimatorService(estimator, poll_interval=0.02)
         service.start()
@@ -135,18 +137,6 @@ class TestHealthSchema:
         assert stream["sealed"] is True
         assert stream["n_admitted"] > 0
 
-    def test_flat_compat_mirror(self, replies):
-        """One-release shim: every nested service/stream key is mirrored
-        flat at the top level with the same value."""
-        health, _ = replies
-        for section in ("service", "stream"):
-            body = health[section]
-            if body is None:
-                continue
-            for key, value in body.items():
-                assert key in health
-                assert health[key] == value
-
 
 class TestRouterHealthExtras:
     def test_router_section(self, router_replies):
@@ -212,8 +202,10 @@ class TestWireRoundTrip:
         with telemetry.isolated(enabled=True):
             stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
             estimator = StreamingEstimator(
-                stream, window=horizon, stem_iterations=4,
-                min_observed_tasks=2, random_state=5,
+                stream, random_state=5,
+                config=EstimatorConfig(
+                    window=horizon, stem_iterations=4, min_observed_tasks=2,
+                ),
             )
             service = EstimatorService(estimator, poll_interval=0.02)
             with LiveServer(service) as server:

@@ -76,7 +76,7 @@ def wait_finished(target, timeout=180.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
         health = target.health()
-        if health["status"] in ("finished", "failed"):
+        if health["service"]["status"] in ("finished", "failed"):
             return health
         time.sleep(0.05)
     raise AssertionError(f"tier never finished: {target.health()}")
@@ -138,17 +138,19 @@ class TestTierEndToEnd:
                 with LiveClient(server.address, authkey=b"tier-key") as client:
                     drive(client, trace)
                     health = wait_finished(client)
-        assert health["status"] == "finished", health["error"]
+        assert health["service"]["status"] == "finished", (
+            health["service"]["error"]
+        )
         # Every record landed on some partition; none were lost in routing.
-        assert health["n_admitted"] == trace.skeleton.n_events
+        assert health["stream"]["n_admitted"] == trace.skeleton.n_events
         assert health["router"]["n_records_routed"] == trace.skeleton.n_events
         assert health["router"]["n_parked"] == 0
         assert health["router"]["n_restarts"] == 0
         assert len(health["partitions"]) == 2
         # Both partitions did real work (block=8 stripes 150 tasks widely).
-        assert all(h["n_admitted"] > 0 for h in health["partitions"])
+        assert all(h["stream"]["n_admitted"] > 0 for h in health["partitions"])
         assert sum(
-            h["n_admitted"] for h in health["partitions"]
+            h["stream"]["n_admitted"] for h in health["partitions"]
         ) == trace.skeleton.n_events
 
     def test_estimates_and_anomalies_merge_with_provenance(self):
@@ -162,9 +164,11 @@ class TestTierEndToEnd:
             tail = router.estimates(since=1)
             with pytest.raises(IngestError, match="nonnegative"):
                 router.estimates(since=-1)
-        assert health["status"] == "finished", health["error"]
+        assert health["service"]["status"] == "finished", (
+            health["service"]["error"]
+        )
         assert estimates, "no windows published"
-        assert health["windows_published"] == len(estimates)
+        assert health["service"]["windows_published"] == len(estimates)
         # Merged order is global time order with a stable partition tie
         # break, re-indexed; provenance keys survive.
         keys = [(r["t_start"], r["partition"]) for r in estimates]
@@ -206,7 +210,7 @@ class TestTierEndToEnd:
             with pytest.raises(IngestError, match="sealed"):
                 router.ingest(entry)
             health = wait_finished(router)
-        assert health["n_admitted"] == len(records)
+        assert health["stream"]["n_admitted"] == len(records)
 
     def test_sealing_drops_and_counts_orphaned_records(self):
         trace, horizon = make_trace(n_tasks=40)
@@ -235,7 +239,9 @@ class TestCrashRecovery:
             drive(router, trace, batch_tasks=8)
             ref_health = wait_finished(router)
             ref = normalized(router.estimates())
-        assert ref_health["status"] == "finished", ref_health["error"]
+        assert ref_health["service"]["status"] == "finished", (
+            ref_health["service"]["error"]
+        )
         assert ref, "reference run published nothing"
 
         with IngestRouter(
@@ -250,10 +256,12 @@ class TestCrashRecovery:
                   kill_at=(2 * n_batches) // 3, router=router, victim=0)
             health = wait_finished(router)
             got = normalized(router.estimates())
-        assert health["status"] == "finished", health["error"]
+        assert health["service"]["status"] == "finished", (
+            health["service"]["error"]
+        )
         assert health["router"]["n_restarts"] >= 1
         assert health["router"]["restarts_per_partition"][0] >= 1
-        assert health["n_admitted"] == trace.skeleton.n_events
+        assert health["stream"]["n_admitted"] == trace.skeleton.n_events
 
         assert len(ref) == len(got)
         for a, b in zip(ref, got):
@@ -284,9 +292,11 @@ class TestCrashRecovery:
                 time.sleep(0.05)
             health = router.health()
             assert health["router"]["n_restarts"] >= 1
-            assert health["status"] == "serving"
+            assert health["service"]["status"] == "serving"
             # The revived partition serves traffic again.
             drive(router, trace)
             health = wait_finished(router)
-            assert health["status"] == "finished", health["error"]
-            assert health["n_admitted"] == trace.skeleton.n_events
+            assert health["service"]["status"] == "finished", (
+                health["service"]["error"]
+            )
+            assert health["stream"]["n_admitted"] == trace.skeleton.n_events

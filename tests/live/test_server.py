@@ -16,7 +16,7 @@ from repro.live import (
 )
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online import StreamingEstimator, WindowedEstimator
+from repro.online import EstimatorConfig, StreamingEstimator, WindowedEstimator
 from repro.simulate import simulate_network
 
 
@@ -28,11 +28,11 @@ def make_trace(n_tasks=150, seed=3, fraction=0.3):
     return trace, horizon
 
 
-def make_service(trace, horizon, windows=3, **est_kwargs):
+def make_service(trace, horizon, windows=3):
     stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
     estimator = StreamingEstimator(
-        stream, window=horizon / windows, stem_iterations=8, random_state=5,
-        **est_kwargs,
+        stream, random_state=5,
+        config=EstimatorConfig(window=horizon / windows, stem_iterations=8),
     )
     return EstimatorService(estimator, poll_interval=0.02)
 
@@ -41,7 +41,7 @@ def wait_until(client, statuses=("finished", "failed"), timeout=90.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
         health = client.health()
-        if health["status"] in statuses:
+        if health["service"]["status"] in statuses:
             return health
         time.sleep(0.02)
     raise AssertionError(f"service never reached {statuses}: {client.health()}")
@@ -65,7 +65,9 @@ class TestServerSmoke:
                     client.ingest(batch)
                 client.seal()
                 health = wait_until(client)
-                assert health["status"] == "finished", health["error"]
+                assert health["service"]["status"] == "finished", (
+                    health["service"]["error"]
+                )
                 published = client.estimates()
         assert len(published) == len(ref)
         assert any(w["rates"] is not None for w in published)
@@ -85,16 +87,16 @@ class TestServerSmoke:
         with service, LiveServer(service, authkey=b"k") as server:
             with LiveClient(server.address, authkey=b"k") as client:
                 health = client.health()
-                assert health["status"] == "serving"
-                assert health["sealed"] is False
-                assert health["windows_published"] == 0
+                assert health["service"]["status"] == "serving"
+                assert health["stream"]["sealed"] is False
+                assert health["service"]["windows_published"] == 0
                 for watermark, batch in replay_batches(trace):
                     client.advance_watermark(watermark)
                     client.ingest(batch)
                 client.seal()
                 health = wait_until(client)
-                assert health["n_admitted"] == trace.skeleton.n_events
-                assert health["sealed"] is True
+                assert health["stream"]["n_admitted"] == trace.skeleton.n_events
+                assert health["stream"]["sealed"] is True
                 all_of_them = client.estimates()
                 tail = client.estimates(since=1)
                 assert all_of_them[1:] == tail
@@ -114,8 +116,10 @@ class TestServerSmoke:
                     sender.ingest(batch)
                 a.seal()
                 health = wait_until(b)
-                assert health["status"] == "finished", health["error"]
-                assert health["n_admitted"] == trace.skeleton.n_events
+                assert health["service"]["status"] == "finished", (
+                    health["service"]["error"]
+                )
+                assert health["stream"]["n_admitted"] == trace.skeleton.n_events
 
 
 class TestProtocolErrors:
@@ -131,7 +135,7 @@ class TestProtocolErrors:
             assert server.n_rejected == 1
             # The real client still gets through afterwards.
             with LiveClient(server.address, authkey=b"right") as client:
-                assert client.health()["status"] == "serving"
+                assert client.health()["service"]["status"] == "serving"
 
     def test_truncated_hello_is_rejected_without_wedging(self):
         trace, horizon = make_trace(n_tasks=60)
@@ -146,7 +150,7 @@ class TestProtocolErrors:
                 time.sleep(0.01)
             assert server.n_rejected == 1
             with LiveClient(server.address, authkey=b"k") as client:
-                assert client.health()["status"] == "serving"
+                assert client.health()["service"]["status"] == "serving"
 
     def test_unknown_command_and_bad_arguments_get_error_replies(self):
         trace, horizon = make_trace(n_tasks=60)
@@ -164,13 +168,14 @@ class TestProtocolErrors:
                 with pytest.raises(IngestError, match="bad arguments"):
                     client._call("estimates", "x")
                 # The connection survives error replies.
-                assert client.health()["status"] == "serving"
+                assert client.health()["service"]["status"] == "serving"
 
     def test_backpressure_surfaces_as_an_error_reply(self):
         trace, horizon = make_trace(n_tasks=80)
         stream = LiveTraceStream(n_queues=trace.skeleton.n_queues, max_pending=10)
         estimator = StreamingEstimator(
-            stream, window=horizon, stem_iterations=5, random_state=0
+            stream, random_state=0,
+            config=EstimatorConfig(window=horizon, stem_iterations=5),
         )
         service = EstimatorService(estimator, poll_interval=0.02)
         from repro.live import trace_to_records
@@ -181,7 +186,7 @@ class TestProtocolErrors:
             with LiveClient(server.address, authkey=b"k") as client:
                 with pytest.raises(IngestError, match="backpressure"):
                     client.ingest(stuck)
-                assert client.health()["n_pending"] == 10
+                assert client.health()["stream"]["n_pending"] == 10
 
     def test_internal_error_gets_error_reply_not_dead_thread(self):
         """Regression: a service method raising something unexpected used
@@ -204,7 +209,7 @@ class TestProtocolErrors:
                 # The connection survives, and health surfaces the tally
                 # to a monitoring consumer with no server-side log.
                 health = client.health()
-                assert health["status"] == "serving"
+                assert health["service"]["status"] == "serving"
                 assert health["server"]["n_dispatch_errors"] == 1
                 assert "RuntimeError" in health["server"]["last_dispatch_error"]
 
@@ -218,7 +223,7 @@ class TestProtocolErrors:
         with service:
             server = LiveServer(service, authkey=b"k").start()
             client = LiveClient(server.address, authkey=b"k")
-            assert client.health()["status"] == "serving"
+            assert client.health()["service"]["status"] == "serving"
             t0 = time.monotonic()
             server.close()
             assert time.monotonic() - t0 < 4.0

@@ -16,7 +16,7 @@ from repro.live import (
 )
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online import SMCEstimator, StreamingEstimator
+from repro.online import EstimatorConfig, SMCEstimator, StreamingEstimator
 from repro.simulate import simulate_network
 
 
@@ -28,16 +28,33 @@ def make_trace(n_tasks=250, seed=11, fraction=0.3):
     return trace, horizon
 
 
-def make_estimator(stream, horizon, windows=5, **kwargs):
-    kwargs.setdefault("stem_iterations", 8)
-    kwargs.setdefault("random_state", 5)
-    return StreamingEstimator(stream, window=horizon / windows, **kwargs)
+def make_estimator(stream, horizon, windows=5, **fields):
+    fields.setdefault("stem_iterations", 8)
+    return StreamingEstimator(
+        stream, random_state=5,
+        config=EstimatorConfig(window=horizon / windows, **fields),
+    )
+
+
+def corrupt_one_departure(trace):
+    """A copy of *trace* whose middle observed final departure is 1e9 —
+    a record no feasible latent state fits — plus its task's entry time."""
+    import copy
+
+    from repro.online.windowed import _entry_time_estimates
+
+    bad = copy.deepcopy(trace)
+    finals = np.flatnonzero(bad.departure_observed)
+    event = int(finals[finals.size // 2])
+    bad.skeleton.departure[event] = 1e9
+    entry = _entry_time_estimates(bad)[int(bad.skeleton.task[event])]
+    return bad, entry
 
 
 def wait_finished(service, timeout=120.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
-        status = service.health()["status"]
+        status = service.health()["service"]["status"]
         if status in ("finished", "failed"):
             return status
         time.sleep(0.02)
@@ -117,7 +134,50 @@ class TestSupervisor:
             stream.seal()
             assert wait_finished(service) == "failed"
             health = service.health()
-        assert "boom" in health["error"]
+        assert "boom" in health["service"]["error"]
+
+    def test_infeasible_window_fails_as_data_not_the_service(self):
+        """Regression: one observed departure no feasible latent state
+        fits (here 1e9) used to raise out of the estimator and leave the
+        service 'failed' for good.  Now only the window holding the bad
+        task fails; every other window is bitwise the clean run's, and
+        the windowed estimator agrees window for window."""
+        from repro.online import WindowedEstimator
+
+        trace, horizon = make_trace(n_tasks=300)
+        bad, entry = corrupt_one_departure(trace)
+
+        clean_stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
+        clean_stream.ingest(trace_to_records(trace))
+        clean_stream.seal()
+        clean = make_estimator(clean_stream, horizon).run()
+
+        stream = LiveTraceStream(n_queues=bad.skeleton.n_queues)
+        service = EstimatorService(
+            make_estimator(stream, horizon), poll_interval=0.02
+        )
+        with service.start():
+            for watermark, batch in replay_batches(bad):
+                stream.advance_watermark(watermark)
+                stream.ingest(batch)
+            stream.seal()
+            assert wait_finished(service) == "finished"
+            got = service.windows()
+        assert len(got) == len(clean) == 5
+        failed = [w for w in got if w.failure is not None]
+        assert len(failed) == 1
+        assert failed[0].rates is None
+        assert "1e+09" in failed[0].failure
+        assert failed[0].t_start <= entry < failed[0].t_end
+        assert_windows_equal(
+            [w for w in clean if w.t_start != failed[0].t_start],
+            [w for w in got if w is not failed[0]],
+        )
+        windowed = WindowedEstimator(
+            bad, window=horizon / 5, stem_iterations=8, random_state=5
+        ).run()
+        assert [w.failure for w in windowed] == [w.failure for w in got]
+        assert_windows_equal(windowed, got)
 
     def test_validation_and_estimate_records(self):
         trace, horizon = make_trace(n_tasks=80)
@@ -334,15 +394,15 @@ class TestCheckpointOffloading:
             raise OSError("disk full")
 
         service._write_snapshot = boom
-        assert service.health()["checkpoint_error"] is None
+        assert service.health()["service"]["checkpoint_error"] is None
         service._checkpoint_now(wait=False)
         deadline = time.time() + 10.0
         while (
             time.time() < deadline
-            and service.health()["checkpoint_error"] is None
+            and service.health()["service"]["checkpoint_error"] is None
         ):
             time.sleep(0.01)
-        assert "disk full" in service.health()["checkpoint_error"]
+        assert "disk full" in service.health()["service"]["checkpoint_error"]
         service.stop()
 
 
@@ -377,8 +437,8 @@ class TestRetentionBoundsCheckpoints:
         assert bounded.stream.n_compacted_tasks > 0
         assert bounded.last_checkpoint_bytes < plain.last_checkpoint_bytes / 2
         health = bounded.health()
-        assert health["checkpoint_bytes"] == bounded.last_checkpoint_bytes
-        assert health["n_compacted_tasks"] == bounded.stream.n_compacted_tasks
+        assert health["service"]["checkpoint_bytes"] == bounded.last_checkpoint_bytes
+        assert health["stream"]["n_compacted_tasks"] == bounded.stream.n_compacted_tasks
 
     def test_restore_continues_a_compacted_service_bitwise(self, tmp_path):
         """Checkpoint -> restore across a compaction boundary: the
@@ -432,11 +492,42 @@ class TestSMCBehindTheService:
     server, and checkpoint/restore with no wire-protocol change."""
 
     @staticmethod
-    def make_smc(stream, horizon, windows=4, **kwargs):
-        kwargs.setdefault("stem_iterations", 8)
-        kwargs.setdefault("n_particles", 8)
-        kwargs.setdefault("random_state", 5)
-        return SMCEstimator(stream, window=horizon / windows, **kwargs)
+    def make_smc(stream, horizon, windows=4):
+        return SMCEstimator(
+            stream, random_state=5,
+            config=EstimatorConfig(
+                window=horizon / windows, stem_iterations=8, n_particles=8
+            ),
+        )
+
+    def test_infeasible_window_fails_as_data_not_the_service(self):
+        """The SMC flavor of the regression: the service keeps publishing,
+        the window holding the bad task carries the failure, and windows
+        before it are bitwise the clean run's (later ones legitimately
+        differ — the particle population carries across windows)."""
+        trace, horizon = make_trace(n_tasks=300)
+        bad, entry = corrupt_one_departure(trace)
+        clean_stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
+        clean_stream.ingest(trace_to_records(trace))
+        clean_stream.seal()
+        clean = self.make_smc(clean_stream, horizon).run()
+        stream = LiveTraceStream(n_queues=bad.skeleton.n_queues)
+        service = EstimatorService(
+            self.make_smc(stream, horizon), poll_interval=0.02
+        )
+        with service.start():
+            for watermark, batch in replay_batches(bad):
+                stream.advance_watermark(watermark)
+                stream.ingest(batch)
+            stream.seal()
+            assert wait_finished(service) == "finished"
+            got = service.windows()
+        assert len(got) == len(clean)
+        failed = [i for i, w in enumerate(got) if w.failure is not None]
+        assert len(failed) == 1
+        assert got[failed[0]].t_start <= entry < got[failed[0]].t_end
+        assert_windows_equal(clean[: failed[0]], got[: failed[0]])
+        assert any(w.ok for w in got[failed[0] + 1:])
 
     def test_smc_over_live_tcp_matches_offline_run_bitwise(self):
         from repro.live import LiveClient, LiveServer
@@ -460,10 +551,12 @@ class TestSMCBehindTheService:
                 deadline = time.time() + 120.0
                 while time.time() < deadline:
                     health = client.health()
-                    if health["status"] in ("finished", "failed"):
+                    if health["service"]["status"] in ("finished", "failed"):
                         break
                     time.sleep(0.02)
-                assert health["status"] == "finished", health["error"]
+                assert health["service"]["status"] == "finished", (
+                    health["service"]["error"]
+                )
                 published = client.estimates()
         assert len(published) == len(ref)
         for a, b in zip(ref, published):

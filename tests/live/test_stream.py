@@ -13,7 +13,12 @@ from repro.errors import IngestError
 from repro.live import LiveTraceStream, replay_batches, trace_to_records
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online import ReplayTraceStream, StreamingEstimator, WindowedEstimator
+from repro.online import (
+    EstimatorConfig,
+    ReplayTraceStream,
+    StreamingEstimator,
+    WindowedEstimator,
+)
 from repro.online.windowed import _entry_time_estimates
 from repro.simulate import simulate_network
 
@@ -390,8 +395,10 @@ class TestLiveEquivalence:
             trace, window=window, stem_iterations=12, random_state=2
         ).run()
         got = StreamingEstimator(
-            ingested(trace), window=window, stem_iterations=12,
-            random_state=2, repartition="cold",
+            ingested(trace), random_state=2,
+            config=EstimatorConfig(
+                window=window, stem_iterations=12, repartition="cold",
+            ),
         ).run()
         assert_windows_equal(ref, got)
         assert any(w.ok for w in got)
@@ -404,9 +411,11 @@ class TestLiveEquivalence:
         ).run()
         for workers in (1, 2):
             got = StreamingEstimator(
-                ingested(trace), window=window, stem_iterations=10,
-                random_state=5, shards=2, shard_workers=workers,
-                repartition="cold",
+                ingested(trace), random_state=5,
+                config=EstimatorConfig(
+                    window=window, stem_iterations=10, shards=2,
+                    shard_workers=workers, repartition="cold",
+                ),
             ).run()
             assert_windows_equal(ref, got)
 

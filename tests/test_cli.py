@@ -1,8 +1,38 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _ESTIMATOR_FLAGS, _build_parser, _estimator_config, main
+from repro.online import EstimatorConfig, estimator_config_keys
+
+#: Every estimator flag of stream/serve/route, with the EstimatorConfig
+#: field it sets and a valid non-default value.
+ESTIMATOR_FLAG_VALUES = {
+    "--step": ("step", 0.5),
+    "--iterations": ("stem_iterations", 7),
+    "--min-observed": ("min_observed_tasks", 2),
+    "--shards": ("shards", 2),
+    "--shard-workers": ("shard_workers", 2),
+    "--kernel": ("kernel", "native"),
+    "--threads": ("threads", 2),
+    "--worker-retries": ("worker_retries", 3),
+    "--particles": ("n_particles", 5),
+    "--ess-threshold": ("ess_threshold", 0.3),
+    "--rejuvenation-sweeps": ("rejuvenation_sweeps", 2),
+}
+
+#: The fields that are deliberately not estimator flags: the window is
+#: set per command, and the worker-reuse knobs by ``stream --cold``.
+NOT_FLAGS = {"window", "repartition", "warm_workers"}
+
+#: Minimal valid argument prefixes of the three estimator subcommands.
+ESTIMATOR_COMMANDS = {
+    "stream": ["stream", "trace.jsonl"],
+    "serve": ["serve", "--queues", "3", "--window", "1"],
+    "route": ["route", "--queues", "3", "--window", "1"],
+}
 
 
 class TestSimulate:
@@ -232,6 +262,14 @@ class TestServeIngest:
         with pytest.raises(SystemExit, match="--shard-workers requires"):
             main(["serve", "--queues", "3", "--window", "1",
                   "--shard-workers", "2"])
+        # A value EstimatorConfig rejects exits naming its flag.
+        for extra, flag in (
+            (["--threads", "0"], "--threads"),
+            (["--shards", "2", "--kernel", "object"], "--kernel"),
+            (["--ess-threshold", "2"], "--ess-threshold"),
+        ):
+            with pytest.raises(SystemExit, match=flag):
+                main(["serve", "--queues", "3", "--window", "1", *extra])
         with pytest.raises(SystemExit, match="--restore resumes"):
             main(["serve", "--restore", "x.ckpt", "--window", "1"])
         # Every estimator/stream flag is frozen by the checkpoint; passing
@@ -318,6 +356,40 @@ class TestServeIngest:
         with pytest.raises(SystemExit, match="cannot connect"):
             main(["top", "--connect", f"127.0.0.1:{self._free_port()}",
                   "--once"])
+
+
+class TestEstimatorFlagParity:
+    """The stream/serve/route flags are derived from EstimatorConfig."""
+
+    def test_every_field_is_a_flag_or_a_named_exclusion(self):
+        fields = {field for field, _ in ESTIMATOR_FLAG_VALUES.values()}
+        assert fields | NOT_FLAGS == set(estimator_config_keys())
+        assert not fields & NOT_FLAGS
+        assert {row[0] for row in _ESTIMATOR_FLAGS} == set(ESTIMATOR_FLAG_VALUES)
+
+    @pytest.mark.parametrize("command", sorted(ESTIMATOR_COMMANDS))
+    def test_each_flag_sets_its_field(self, command):
+        argv = list(ESTIMATOR_COMMANDS[command])
+        for flag, (_, value) in ESTIMATOR_FLAG_VALUES.items():
+            argv += [flag, str(value)]
+        args = _build_parser().parse_args(argv)
+        expected = EstimatorConfig(
+            window=1.0,
+            **{field: value for field, value in ESTIMATOR_FLAG_VALUES.values()},
+        )
+        assert _estimator_config(args, 1.0) == expected
+
+    @pytest.mark.parametrize("command", sorted(ESTIMATOR_COMMANDS))
+    def test_defaults_build_the_documented_config(self, command):
+        args = _build_parser().parse_args(ESTIMATOR_COMMANDS[command])
+        assert _estimator_config(args, 2.0) == EstimatorConfig(
+            window=2.0, stem_iterations=30
+        )
+
+    def test_serve_restore_rejects_every_estimator_flag(self):
+        for flag, (_, value) in ESTIMATOR_FLAG_VALUES.items():
+            with pytest.raises(SystemExit, match=re.escape(flag)):
+                main(["serve", "--restore", "x.ckpt", flag, str(value)])
 
 
 class TestArgumentErrors:

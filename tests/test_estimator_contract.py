@@ -116,6 +116,10 @@ class TestEstimatorConfig:
             EstimatorConfig(window=1.0, kernel="simd")
         with pytest.raises(InferenceError, match="thread"):
             EstimatorConfig(window=1.0, threads=0)
+        # Sharded sweeps need a batch kernel: rejected at construction,
+        # not as every window failing.
+        with pytest.raises(InferenceError, match="kernel"):
+            EstimatorConfig(window=1.0, kernel="object", shards=2)
 
     def test_from_state_fills_missing_fields_and_rejects_unknown(self):
         state = EstimatorConfig(window=2.0).as_dict()
@@ -127,29 +131,12 @@ class TestEstimatorConfig:
         with pytest.raises(InferenceError, match="unknown"):
             EstimatorConfig.from_state({"window": 2.0, "particles": 8})
 
-    def test_legacy_kwargs_and_config_build_identically(self):
+    def test_config_is_the_only_spelling(self):
+        """Settings reach an estimator only through EstimatorConfig."""
         trace, horizon = make_trace(n_tasks=80)
-        legacy = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon, stem_iterations=9,
-            random_state=3, threads=2, worker_retries=2,
-        )
-        explicit = StreamingEstimator(
-            ReplayTraceStream(trace), random_state=3,
-            config=EstimatorConfig(
-                window=horizon, stem_iterations=9, threads=2, worker_retries=2
-            ),
-        )
-        assert legacy.config == explicit.config
-        assert legacy.state_dict()["config"] == explicit.state_dict()["config"]
-
-    def test_config_and_kwargs_are_exclusive(self):
-        trace, horizon = make_trace(n_tasks=80)
-        with pytest.raises(InferenceError, match="not both"):
-            StreamingEstimator(
-                ReplayTraceStream(trace), window=horizon,
-                config=EstimatorConfig(window=horizon),
-            )
-        with pytest.raises(InferenceError, match="window= or config="):
+        with pytest.raises(TypeError):
+            StreamingEstimator(ReplayTraceStream(trace), window=horizon)
+        with pytest.raises(TypeError):
             StreamingEstimator(ReplayTraceStream(trace))
 
     @pytest.mark.parametrize("name", ESTIMATOR_NAMES)

@@ -9,7 +9,7 @@ from repro.fsm import TaskPath
 from repro.network import build_tandem_network
 from repro.network.topology import QueueingNetwork
 from repro.observation import TaskSampling
-from repro.online import WindowedEstimator, detect_anomalies
+from repro.online import EstimatorConfig, WindowedEstimator, detect_anomalies
 from repro.simulate import PoissonArrivals, simulate_tasks
 
 
@@ -203,8 +203,10 @@ class TestWindowedFailureHandling:
         monkeypatch.setattr(streaming, "run_stem", boom)
         horizon = float(np.nanmax(tandem_trace.skeleton.departure))
         results = StreamingEstimator(
-            ReplayTraceStream(tandem_trace), window=horizon / 2,
-            stem_iterations=5, min_observed_tasks=1, random_state=3,
+            ReplayTraceStream(tandem_trace), random_state=3,
+            config=EstimatorConfig(
+                window=horizon / 2, stem_iterations=5, min_observed_tasks=1,
+            ),
         ).run()
         attempted = [w for w in results if w.failure is not None]
         assert attempted
@@ -216,8 +218,11 @@ class TestWindowedFailureHandling:
         )
         with pytest.raises(ValueError, match="bug"):
             StreamingEstimator(
-                ReplayTraceStream(tandem_trace), window=horizon / 2,
-                stem_iterations=5, min_observed_tasks=1, random_state=3,
+                ReplayTraceStream(tandem_trace), random_state=3,
+                config=EstimatorConfig(
+                    window=horizon / 2, stem_iterations=5,
+                    min_observed_tasks=1,
+                ),
             ).run()
 
 

@@ -12,6 +12,7 @@ from repro.inference.shard import (
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
 from repro.online import (
+    EstimatorConfig,
     ReplayTraceStream,
     StreamingEstimator,
     WindowedEstimator,
@@ -82,8 +83,10 @@ class TestStreamingEquivalence:
             trace, window=window, stem_iterations=12, random_state=2
         ).run()
         got = StreamingEstimator(
-            ReplayTraceStream(trace), window=window, stem_iterations=12,
-            random_state=2, repartition="cold",
+            ReplayTraceStream(trace), random_state=2,
+            config=EstimatorConfig(
+                window=window, stem_iterations=12, repartition="cold",
+            ),
         ).run()
         assert_windows_equal(ref, got)
         assert any(w.ok for w in got)
@@ -97,8 +100,11 @@ class TestStreamingEquivalence:
             trace, window=window, stem_iterations=10, random_state=5, shards=2
         ).run()
         est = StreamingEstimator(
-            ReplayTraceStream(trace), window=window, stem_iterations=10,
-            random_state=5, shards=2, shard_workers=2, repartition="cold",
+            ReplayTraceStream(trace), random_state=5,
+            config=EstimatorConfig(
+                window=window, stem_iterations=10, shards=2, shard_workers=2,
+                repartition="cold",
+            ),
         )
         got = est.run()
         assert not est.pooled  # run() closes the pool
@@ -110,9 +116,11 @@ class TestStreamingEquivalence:
         results = []
         for workers in (1, 3):
             got = StreamingEstimator(
-                ReplayTraceStream(trace), window=window, stem_iterations=8,
-                random_state=9, shards=3, shard_workers=workers,
-                repartition="cold",
+                ReplayTraceStream(trace), random_state=9,
+                config=EstimatorConfig(
+                    window=window, stem_iterations=8, shards=3,
+                    shard_workers=workers, repartition="cold",
+                ),
             ).run()
             results.append(got)
         assert_windows_equal(results[0], results[1])
@@ -122,13 +130,18 @@ class TestStreamingEquivalence:
         trace, horizon = make_trace(n_tasks=200)
         window = horizon / 3
         warm = StreamingEstimator(
-            ReplayTraceStream(trace), window=window, stem_iterations=8,
-            random_state=4, shards=2, shard_workers=2, repartition="cold",
+            ReplayTraceStream(trace), random_state=4,
+            config=EstimatorConfig(
+                window=window, stem_iterations=8, shards=2, shard_workers=2,
+                repartition="cold",
+            ),
         ).run()
         cold = StreamingEstimator(
-            ReplayTraceStream(trace), window=window, stem_iterations=8,
-            random_state=4, shards=2, shard_workers=2, repartition="cold",
-            warm_workers=False,
+            ReplayTraceStream(trace), random_state=4,
+            config=EstimatorConfig(
+                window=window, stem_iterations=8, shards=2, shard_workers=2,
+                repartition="cold", warm_workers=False,
+            ),
         ).run()
         assert_windows_equal(warm, cold)
 
@@ -141,9 +154,11 @@ class TestStreamingEquivalence:
             trace, window=window, stem_iterations=10, random_state=5, shards=2
         ).run()
         got = StreamingEstimator(
-            ReplayTraceStream(trace), window=window, stem_iterations=10,
-            random_state=5, shards=2, shard_workers=2,
-            repartition="incremental",
+            ReplayTraceStream(trace), random_state=5,
+            config=EstimatorConfig(
+                window=window, stem_iterations=10, shards=2, shard_workers=2,
+                repartition="incremental",
+            ),
         ).run()
         np.testing.assert_array_equal(ref[0].rates, got[0].rates)
         # Later windows use a different (equally exact) scan order; they
@@ -161,9 +176,11 @@ class TestWarmReuse:
         kernels and adopt only fresh times."""
         trace, horizon = make_trace(n_tasks=600, fraction=0.3)
         est = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon / 3, step=horizon / 9,
-            stem_iterations=6, random_state=5, shards=4, shard_workers=2,
-            repartition="incremental",
+            ReplayTraceStream(trace), random_state=5,
+            config=EstimatorConfig(
+                window=horizon / 3, step=horizon / 9, stem_iterations=6,
+                shards=4, shard_workers=2, repartition="incremental",
+            ),
         )
         got = est.run()
         sharded = [w for w in got if w.ok and w.n_shards > 1]
@@ -224,11 +241,15 @@ class TestWorkerCrashRecovery:
         import signal
 
         trace, horizon = make_trace(n_tasks=200)
-        kwargs = dict(window=horizon / 3, stem_iterations=6, random_state=7,
-                      shards=2, shard_workers=2, repartition="cold")
-        ref = StreamingEstimator(ReplayTraceStream(trace), **kwargs).run()
+        config = EstimatorConfig(window=horizon / 3, stem_iterations=6,
+                                 shards=2, shard_workers=2, repartition="cold")
+        ref = StreamingEstimator(
+            ReplayTraceStream(trace), random_state=7, config=config
+        ).run()
 
-        est = StreamingEstimator(ReplayTraceStream(trace), **kwargs)
+        est = StreamingEstimator(
+            ReplayTraceStream(trace), random_state=7, config=config
+        )
         gen = est.estimates()
         got = [next(gen)]  # first window brings the warm pool up
         stats = est.pool_stats()
@@ -253,8 +274,11 @@ class TestWorkerCrashRecovery:
 
         trace, horizon = make_trace(n_tasks=200)
         est = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon / 3, stem_iterations=6,
-            random_state=7, shards=2, shard_workers=2, repartition="cold",
+            ReplayTraceStream(trace), random_state=7,
+            config=EstimatorConfig(
+                window=horizon / 3, stem_iterations=6, shards=2,
+                shard_workers=2, repartition="cold",
+            ),
         )
         attempts = []
 
@@ -280,8 +304,11 @@ class TestStreamingLifecycle:
     def test_pool_survives_windows_and_closes_once(self):
         trace, horizon = make_trace(n_tasks=200)
         est = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon / 3, stem_iterations=6,
-            random_state=7, shards=2, shard_workers=2,
+            ReplayTraceStream(trace), random_state=7,
+            config=EstimatorConfig(
+                window=horizon / 3, stem_iterations=6, shards=2,
+                shard_workers=2,
+            ),
         )
         first = None
         pool = None
@@ -298,8 +325,11 @@ class TestStreamingLifecycle:
         """A dead pool must not poison every later window."""
         trace, horizon = make_trace(n_tasks=200)
         est = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon / 3, stem_iterations=6,
-            random_state=7, shards=2, shard_workers=2,
+            ReplayTraceStream(trace), random_state=7,
+            config=EstimatorConfig(
+                window=horizon / 3, stem_iterations=6, shards=2,
+                shard_workers=2,
+            ),
         )
         gen = est.estimates()
         w0 = next(gen)
@@ -316,32 +346,32 @@ class TestStreamingLifecycle:
         trace, horizon = make_trace(n_tasks=120)
         transport = SocketTransport()
         StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon, stem_iterations=5,
-            random_state=1, shards=2, shard_workers=1, transport=transport,
+            ReplayTraceStream(trace), random_state=1, transport=transport,
+            config=EstimatorConfig(
+                window=horizon, stem_iterations=5, shards=2, shard_workers=1,
+            ),
         ).run()
         assert transport._listener.fileno() == -1  # listener closed
 
     def test_validation(self):
-        trace, _ = make_trace(n_tasks=120)
-        stream = ReplayTraceStream(trace)
         with pytest.raises(InferenceError):
-            StreamingEstimator(stream, window=-1.0)
+            EstimatorConfig(window=-1.0)
         with pytest.raises(InferenceError):
-            StreamingEstimator(stream, window=1.0, step=0.0)
+            EstimatorConfig(window=1.0, step=0.0)
         with pytest.raises(InferenceError):
-            StreamingEstimator(stream, window=1.0, shards=0)
+            EstimatorConfig(window=1.0, shards=0)
         with pytest.raises(InferenceError):  # config error, not "all windows failed"
-            StreamingEstimator(stream, window=1.0, stem_iterations=0)
+            EstimatorConfig(window=1.0, stem_iterations=0)
         with pytest.raises(InferenceError):  # workers without shards: silent no-op
-            StreamingEstimator(stream, window=1.0, shard_workers=2)
+            EstimatorConfig(window=1.0, shard_workers=2)
         with pytest.raises(InferenceError):
-            StreamingEstimator(stream, window=1.0, shards=2, shard_workers=0)
+            EstimatorConfig(window=1.0, shards=2, shard_workers=0)
         with pytest.raises(InferenceError):
-            StreamingEstimator(stream, window=1.0, repartition="sometimes")
+            EstimatorConfig(window=1.0, repartition="sometimes")
         with pytest.raises(InferenceError, match="kernel"):
-            StreamingEstimator(stream, window=1.0, kernel="simd")
+            EstimatorConfig(window=1.0, kernel="simd")
         with pytest.raises(InferenceError, match="thread"):
-            StreamingEstimator(stream, window=1.0, threads=0)
+            EstimatorConfig(window=1.0, threads=0)
 
     def test_kernel_and_threads_do_not_change_estimates(self):
         """kernel='native'/threads=2 windows agree with the defaults
@@ -350,12 +380,15 @@ class TestStreamingLifecycle:
 
         trace, horizon = make_trace(n_tasks=150)
         ref = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon / 2, stem_iterations=5,
-            random_state=7,
+            ReplayTraceStream(trace), random_state=7,
+            config=EstimatorConfig(window=horizon / 2, stem_iterations=5),
         ).run()
         got = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon / 2, stem_iterations=5,
-            random_state=7, kernel="native", threads=2,
+            ReplayTraceStream(trace), random_state=7,
+            config=EstimatorConfig(
+                window=horizon / 2, stem_iterations=5, kernel="native",
+                threads=2,
+            ),
         ).run()
         if not NUMBA_AVAILABLE:
             assert_windows_equal(ref, got)
@@ -370,8 +403,8 @@ class TestStreamingLifecycle:
         still refuses a default checkpoint."""
         trace, horizon = make_trace(n_tasks=120)
         est = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon, stem_iterations=5,
-            random_state=3,
+            ReplayTraceStream(trace), random_state=3,
+            config=EstimatorConfig(window=horizon, stem_iterations=5),
         )
         state = est.state_dict()
         assert state["config"]["kernel"] == "array"
@@ -381,13 +414,15 @@ class TestStreamingLifecycle:
         del state["config"]["kernel"]
         del state["config"]["threads"]
         fresh = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon, stem_iterations=5,
-            random_state=3,
+            ReplayTraceStream(trace), random_state=3,
+            config=EstimatorConfig(window=horizon, stem_iterations=5),
         )
         fresh.load_state_dict(state)
         mismatched = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon, stem_iterations=5,
-            random_state=3, threads=2,
+            ReplayTraceStream(trace), random_state=3,
+            config=EstimatorConfig(
+                window=horizon, stem_iterations=5, threads=2,
+            ),
         )
         with pytest.raises(InferenceError, match="captured under config"):
             mismatched.load_state_dict(state)
@@ -403,8 +438,11 @@ class TestStreamingLifecycle:
             runs = []
             for _ in range(2):
                 est = StreamingEstimator(
-                    ReplayTraceStream(trace), window=window, stem_iterations=6,
-                    random_state=3, shards=2, shard_workers=2,
+                    ReplayTraceStream(trace), random_state=3,
+                    config=EstimatorConfig(
+                        window=window, stem_iterations=6, shards=2,
+                        shard_workers=2,
+                    ),
                 )
                 est._pool = pool  # share one warm pool across runs
                 runs.append(list(est.estimates()))
