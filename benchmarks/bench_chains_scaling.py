@@ -1,18 +1,19 @@
-"""Multi-chain throughput: sweep engines, worker fan-out, persistent pools.
+"""Multi-chain throughput: sweep engines and the chain hosts.
 
 Three measurements back the multi-chain engine:
 
 * the per-sweep speedup of the blanket-cached object sweep over the
   derive-everything-per-move reference sweep, plus the vectorized array
   kernel head to head;
-* multi-chain wall-clock vs chain count and process-pool size, with a
-  bitwise determinism check that worker count never changes the draws;
+* multi-chain wall-clock vs chain count and worker count (in-process, or
+  persistent worker processes via ``chain_pool``), with a bitwise
+  determinism check that the host never changes the draws;
 * persistent-pool StEM E-step scaling vs worker count, with a bitwise
-  serial-equivalence check.
+  check against the in-process run.
 
-On a single-core container the pools add overhead instead of speed — the
-tables still show throughput per configuration, and the determinism
-assertions are the part that must hold everywhere.
+On a single-core host the worker processes add overhead instead of speed
+— the tables still show throughput per configuration, and the
+determinism assertions are the part that must hold everywhere.
 """
 
 import os
@@ -102,7 +103,7 @@ def test_chain_worker_scaling(benchmark):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     total_sweeps = n_samples + 2
     rows = [
-        (k, w if w else "serial", f"{sec:.2f}",
+        (k, w if w else "in-process", f"{sec:.2f}",
          f"{k * total_sweeps / sec:.1f}",
          f"{post.max_r_hat('waiting'):.3f}")
         for k, w, sec, post in results
@@ -126,9 +127,9 @@ def test_persistent_stem_worker_scaling(benchmark):
     Chains stay resident in their workers across EM iterations; only rate
     vectors and per-queue sufficient statistics cross the process boundary
     each round, so multi-core hosts approach linear E-step scaling.  On a
-    single-core container the pool is pure overhead — the part that must
-    hold everywhere is that every configuration reproduces the serial
-    rate history bitwise.
+    single-core host the pool is pure overhead — the part that must hold
+    everywhere is that every configuration reproduces the in-process rate
+    history bitwise.
     """
     from repro.inference import run_stem
 
@@ -156,13 +157,13 @@ def test_persistent_stem_worker_scaling(benchmark):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     serial_time = results[0][1]
     rows = [
-        (w if w else "serial", f"{sec:.2f}",
+        (w if w else "in-process", f"{sec:.2f}",
          f"{n_chains * n_iterations / sec:.1f}", f"{serial_time / sec:.2f}x")
         for w, sec, _ in results
     ]
     print("\n=== Persistent-pool StEM: E-step scaling vs worker count ===")
     print(render_table(
-        ["workers", "seconds", "chain-iters / s", "vs serial"],
+        ["workers", "seconds", "chain-iters / s", "vs in-process"],
         rows, title=f"{trace.n_latent} latent vars, {n_chains} chains x "
         f"{n_iterations} iterations ({cpu} cores)",
     ))

@@ -173,8 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     inf.add_argument(
         "--workers", type=int, default=None,
-        help="process-pool size for the posterior chains (default: serial; "
-        "results are identical at any worker count)",
+        help="worker processes hosting the chains — the StEM E-step chains, "
+        "kept resident across EM iterations, and the posterior chains; with "
+        "a single chain and --shards > 1, the chain's shards (default: "
+        "in-process; results are bitwise identical at any worker count)",
     )
     inf.add_argument(
         "--kernel", choices=KERNELS, default="array",
@@ -194,15 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="partition each chain's sweep across this many task shards "
         "(interior moves sweep per shard, only boundary events are "
         "exchanged between super-steps; same posterior, shards=1 is the "
-        "plain kernel); combine with --persistent-workers to distribute "
-        "one chain's shards across worker processes",
-    )
-    inf.add_argument(
-        "--persistent-workers", type=int, default=None,
-        help="fan StEM E-step chains out over this many persistent worker "
-        "processes that keep chain state resident across EM iterations "
-        "(default: serial in-process; results are bitwise identical at "
-        "any worker count)",
+        "plain kernel); combine with --workers to distribute one chain's "
+        "shards across worker processes",
     )
 
     stream = sub.add_parser(
@@ -473,39 +468,39 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``infer``'s sampler flags, each with the word a library error about
+#: its value contains; such an error exits naming the flag.
+_INFER_FLAGS = (
+    ("--chains", "chain"), ("--workers", "worker"), ("--shards", "shard"),
+    ("--threads", "thread"), ("--kernel", "kernel"),
+)
+
+
 def _cmd_infer(args: argparse.Namespace) -> int:
+    try:
+        return _infer(args)
+    except InferenceError as exc:
+        text = str(exc)
+        for flag, word in _INFER_FLAGS:
+            if re.search(rf"\b{word}s?\b", text):
+                raise SystemExit(f"{flag}: {text}")
+        raise SystemExit(text)
+
+
+def _infer(args: argparse.Namespace) -> int:
     events = load_jsonl(args.trace)
     trace = TaskSampling(fraction=args.observe).observe(events, random_state=args.seed)
     print(trace.summary())
-    if args.chains < 1:
-        raise SystemExit("--chains must be at least 1")
-    if args.workers and args.chains == 1:
+    if args.workers and args.chains == 1 and args.shards == 1:
         print(
-            "note: --workers has no effect with a single chain; "
-            "pass --chains K to fan out",
-            file=sys.stderr,
-        )
-    if args.persistent_workers is not None and args.persistent_workers < 1:
-        raise SystemExit("--persistent-workers must be at least 1")
-    if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
-    if args.shards > 1 and args.kernel not in ("array", "native"):
-        raise SystemExit(
-            "--shards requires the array kernel or its native lowering "
-            "(drop --kernel object)"
-        )
-    if args.threads < 1:
-        raise SystemExit("--threads must be at least 1")
-    if args.persistent_workers and args.chains == 1:
-        print(
-            "note: --persistent-workers with a single chain moves the one "
-            "E-step chain into a worker process (no speedup expected)",
+            "note: --workers with a single unsharded chain moves the one "
+            "chain into a worker process (no speedup expected)",
             file=sys.stderr,
         )
     stem = run_stem(
         trace, n_iterations=args.iterations, random_state=args.seed,
         init_method="heuristic", n_chains=args.chains, kernel=args.kernel,
-        persistent_workers=args.persistent_workers, shards=args.shards,
+        persistent_workers=args.workers, shards=args.shards,
         threads=args.threads,
     )
     print(f"\nestimated arrival rate lambda = {stem.arrival_rate:.4g}")

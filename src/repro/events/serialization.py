@@ -9,6 +9,7 @@ log shipping from an instrumented system — and reassembled into an
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable
 
@@ -47,6 +48,11 @@ def measurement_record(
     departures are identical to the successor's arrival and are
     reconstructed, never shipped).
     """
+    for name, value in (
+        ("task", task), ("seq", seq), ("queue", queue), ("counter", counter)
+    ):
+        if isinstance(value, bool):
+            raise InvalidEventSetError(f"{name} must be an integer, got {value}")
     if seq < 0:
         raise InvalidEventSetError(f"seq must be >= 0, got {seq}")
     if queue < 0:
@@ -63,16 +69,32 @@ def measurement_record(
             "only a task's last event carries an independent departure; "
             "inner departures equal the successor's arrival"
         )
+    arrival = _measured_time("arrival", arrival)
+    departure = _measured_time("departure", departure)
+    if arrival is not None and departure is not None and departure < arrival:
+        raise InvalidEventSetError(
+            f"departure ({departure}) precedes the arrival ({arrival})"
+        )
     return {
         "task": int(task),
         "seq": int(seq),
         "queue": int(queue),
         "state": int(state),
         "counter": int(counter),
-        "arrival": None if arrival is None else float(arrival),
-        "departure": None if departure is None else float(departure),
+        "arrival": arrival,
+        "departure": departure,
         "last": bool(last),
     }
+
+
+def _measured_time(name: str, value) -> float | None:
+    """A measured time as a float; rejected unless finite and >= 0."""
+    if value is None:
+        return None
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidEventSetError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def validate_measurement_record(record: dict) -> dict:

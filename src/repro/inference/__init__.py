@@ -20,9 +20,10 @@ Layout
   kernels); selected with ``GibbsSampler(kernel="array")``, the default.
 * :mod:`repro.inference.chains` — parallel multi-chain runs from
   over-dispersed starts, with cross-chain convergence diagnostics.
-* :mod:`repro.inference.pool` — persistent worker processes holding warm
-  E-step chains across StEM/MCEM iterations (only rate vectors and
-  sufficient statistics cross the process boundary).
+* :mod:`repro.inference.pool` — the one chain host: StEM/MCEM E-step and
+  posterior chains run in-process or on persistent worker processes that
+  keep them warm (only rate vectors and sufficient statistics cross the
+  process boundary), bitwise identically.
 * :mod:`repro.inference.shard` — sharded single-chain sweeps: the trace's
   tasks are partitioned (min-cut-flavored greedy over the
   task-interaction graph), shard interiors sweep concurrently on
@@ -35,12 +36,7 @@ Layout
   (within-chain and cross-chain).
 """
 
-from repro.inference.chains import (
-    ChainSpec,
-    MultiChainPosterior,
-    MultiChainSampler,
-    chain_seed_sequences,
-)
+from repro.inference.chains import MultiChainPosterior, MultiChainSampler
 from repro.inference.conditional import (
     ArrivalBlanketCache,
     ArrivalNeighborhood,
@@ -65,9 +61,12 @@ from repro.inference.mcem import MCEMResult, run_mcem
 from repro.inference.mstep import mle_rates, mle_rates_from_stats, mle_rates_pooled
 from repro.inference.pool import (
     ChainRecipe,
+    LocalChainPool,
     PersistentChainPool,
     build_chain_sampler,
+    chain_pool,
     chain_recipes,
+    chain_seed_sequences,
 )
 from repro.inference.paths_mh import (
     PathResampler,
@@ -111,9 +110,12 @@ __all__ = [
     "ArraySweepKernel",
     "color_conflict_free_batches",
     "ChainRecipe",
+    "LocalChainPool",
     "PersistentChainPool",
     "build_chain_sampler",
+    "chain_pool",
     "chain_recipes",
+    "chain_seed_sequences",
     "ShardPlan",
     "ShardWorkerPool",
     "ShardedSweepEngine",
@@ -128,10 +130,8 @@ __all__ = [
     "PipeTransport",
     "SocketTransport",
     "serve_worker",
-    "ChainSpec",
     "MultiChainPosterior",
     "MultiChainSampler",
-    "chain_seed_sequences",
     "heuristic_initialize",
     "lp_initialize",
     "initial_rates_from_observed",

@@ -1,4 +1,4 @@
-"""Parallel multi-chain Gibbs inference with cross-chain diagnostics.
+"""Multi-chain Gibbs inference with cross-chain diagnostics.
 
 Deterministic dependencies are "known to impair the performance of Gibbs
 samplers" (paper Section 3).  The only credible way to detect the resulting
@@ -7,8 +7,10 @@ run several independent chains from over-dispersed starting points and
 compare them.  This module provides exactly that:
 
 * :class:`MultiChainSampler` runs ``K`` independent
-  :class:`~repro.inference.gibbs.GibbsSampler` chains, serially or on a
-  :class:`concurrent.futures.ProcessPoolExecutor`;
+  :class:`~repro.inference.gibbs.GibbsSampler` chains, described as
+  :class:`~repro.inference.pool.ChainRecipe` s and hosted by
+  :func:`~repro.inference.pool.chain_pool` — in this process or on
+  persistent worker processes;
 * starting states are over-dispersed by construction — chain 0 starts from
   the heuristic initializer at the given rates, chain 1 from the LP
   initializer (when the trace is small enough for it), and every further
@@ -16,8 +18,10 @@ compare them.  This module provides exactly that:
   rates, which spreads the initial latent times while keeping every start
   feasible;
 * every chain derives its generator from one
-  :class:`numpy.random.SeedSequence` spawn tree, so results are bitwise
-  identical at any worker count — parallelism only changes scheduling;
+  :class:`numpy.random.SeedSequence` spawn tree
+  (:func:`~repro.inference.pool.chain_seed_sequences`), so results are
+  bitwise identical at any worker count — parallelism only changes
+  scheduling;
 * the result, :class:`MultiChainPosterior`, stacks the per-chain
   :class:`~repro.inference.gibbs.PosteriorSamples` and exposes per-queue
   split-R̂ and cross-chain ESS from :mod:`repro.inference.diagnostics`.
@@ -25,111 +29,20 @@ compare them.  This module provides exactly that:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import InferenceError
 from repro.inference.diagnostics import multichain_ess, split_r_hat
-from repro.inference.gibbs import GibbsSampler, PosteriorSamples
-from repro.inference.init_heuristic import (
-    heuristic_initialize,
-    initial_rates_from_observed,
-)
-from repro.inference.init_lp import lp_initialize
+from repro.inference.gibbs import PosteriorSamples
+from repro.inference.init_heuristic import initial_rates_from_observed
+from repro.inference.pool import ChainRecipe, chain_pool, chain_seed_sequences
 from repro.observation import ObservedTrace
-from repro.rng import RandomState, as_seed_sequence
+from repro.rng import RandomState
 
 #: Chain summaries R̂ / ESS can be computed over.
 _KINDS = ("waiting", "service", "log_joint")
-
-
-def chain_seed_sequences(
-    random_state: RandomState, n_chains: int
-) -> list[tuple[np.random.SeedSequence, np.random.SeedSequence]]:
-    """Derive each chain's ``(init, sweep)`` seed pair from one master seed.
-
-    The master seed spawns one child per chain and each child spawns an
-    initialization stream (rate jitter) and a sweep stream (Gibbs moves).
-    Everything any chain ever draws is a pure function of the master seed
-    and the chain index, which is what makes multi-chain runs bitwise
-    reproducible at any worker count.  A caller-supplied ``Generator`` is
-    never drawn from (its seed sequence is spawned instead), so sharing
-    one with other components leaves their streams untouched.
-    """
-    master = as_seed_sequence(random_state)
-    return [tuple(child.spawn(2)) for child in master.spawn(n_chains)]
-
-
-def jittered_rates(
-    rates: np.ndarray, jitter: float, init_seed: np.random.SeedSequence
-) -> np.ndarray:
-    """The over-dispersed chains' initializer rates.
-
-    Multiplies each rate by ``exp(jitter * N(0, 1))`` drawn from the
-    chain's dedicated init stream — a different feasible corner of the
-    constraint polytope per chain, shared by :class:`MultiChainSampler`
-    and the StEM/MCEM multi-chain E-steps.
-    """
-    rng = np.random.Generator(np.random.PCG64(init_seed))
-    return np.asarray(rates, dtype=float) * np.exp(
-        jitter * rng.standard_normal(np.asarray(rates).size)
-    )
-
-
-@dataclass
-class ChainSpec:
-    """Everything one worker needs to run one chain (picklable)."""
-
-    index: int
-    trace: ObservedTrace
-    rates: np.ndarray
-    init_method: str
-    init_seed: np.random.SeedSequence
-    sweep_seed: np.random.SeedSequence
-    jitter: float
-    n_samples: int
-    thin: int
-    burn_in: int
-    shuffle: bool
-    kernel: str = "array"
-    shards: int = 1
-
-
-def _initialize_chain(spec: ChainSpec):
-    """Build the chain's (possibly jittered) init rates and starting state."""
-    rates = np.asarray(spec.rates, dtype=float)
-    if spec.init_method == "heuristic":
-        return rates, heuristic_initialize(spec.trace, rates)
-    if spec.init_method == "lp":
-        return rates, lp_initialize(spec.trace, rates)
-    if spec.init_method == "heuristic-jitter":
-        jittered = jittered_rates(rates, spec.jitter, spec.init_seed)
-        return jittered, heuristic_initialize(spec.trace, jittered)
-    raise InferenceError(f"unknown chain init method {spec.init_method!r}")
-
-
-def run_chain(spec: ChainSpec) -> PosteriorSamples:
-    """Run one complete chain: initialize, burn in, collect.
-
-    Module-level so a :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it; the sampler always samples at ``spec.rates`` — the jitter
-    only over-disperses the *starting state*, not the target distribution.
-    """
-    _, state = _initialize_chain(spec)
-    sampler = GibbsSampler(
-        spec.trace,
-        state,
-        spec.rates,
-        random_state=spec.sweep_seed,
-        shuffle=spec.shuffle,
-        kernel=spec.kernel,
-        shards=spec.shards,
-    )
-    return sampler.collect(
-        n_samples=spec.n_samples, thin=spec.thin, burn_in=spec.burn_in
-    )
 
 
 class MultiChainSampler:
@@ -145,7 +58,8 @@ class MultiChainSampler:
     n_chains:
         Number of independent chains ``K``.
     random_state:
-        Master seed; see :func:`chain_seed_sequences`.
+        Master seed; see
+        :func:`~repro.inference.pool.chain_seed_sequences`.
     jitter:
         Log-normal sigma of the per-chain initializer-rate jitter used for
         the over-dispersed chains (chains 2+, and chain 1 when the trace
@@ -193,11 +107,31 @@ class MultiChainSampler:
         if shards < 1:
             raise InferenceError(f"need at least one shard, got {shards}")
         self.shards = int(shards)
-        self.seed_pairs = chain_seed_sequences(random_state, self.n_chains)
         self.init_methods = [
             self._init_method_for(k, trace.skeleton.n_events, lp_size_limit)
             for k in range(self.n_chains)
         ]
+        #: One recipe per chain; every chain samples at ``rates`` and only
+        #: the jittered ones draw from their init stream.
+        self.recipes = []
+        for k, (init_seed, sweep_seed) in enumerate(
+            chain_seed_sequences(random_state, self.n_chains)
+        ):
+            jittered = self.init_methods[k] == "heuristic-jitter"
+            self.recipes.append(
+                ChainRecipe(
+                    index=k,
+                    trace=trace,
+                    rates=self.rates,
+                    init_method="heuristic" if jittered else self.init_methods[k],
+                    init_seed=init_seed if jittered else None,
+                    sweep_state=sweep_seed,
+                    jitter=self.jitter,
+                    shuffle=shuffle,
+                    kernel=kernel,
+                    shards=self.shards,
+                )
+            )
 
     @staticmethod
     def _init_method_for(chain: int, n_events: int, lp_size_limit: int) -> str:
@@ -206,29 +140,6 @@ class MultiChainSampler:
         if chain == 1 and n_events <= lp_size_limit:
             return "lp"
         return "heuristic-jitter"
-
-    def chain_specs(
-        self, n_samples: int, thin: int = 1, burn_in: int = 0
-    ) -> list[ChainSpec]:
-        """The fully resolved per-chain work descriptions."""
-        return [
-            ChainSpec(
-                index=k,
-                trace=self.trace,
-                rates=self.rates,
-                init_method=self.init_methods[k],
-                init_seed=init_seed,
-                sweep_seed=sweep_seed,
-                jitter=self.jitter,
-                n_samples=n_samples,
-                thin=thin,
-                burn_in=burn_in,
-                shuffle=self.shuffle,
-                kernel=self.kernel,
-                shards=self.shards,
-            )
-            for k, (init_seed, sweep_seed) in enumerate(self.seed_pairs)
-        ]
 
     def collect(
         self,
@@ -244,18 +155,15 @@ class MultiChainSampler:
         n_samples, thin, burn_in:
             Per-chain schedule (see :meth:`GibbsSampler.collect`).
         workers:
-            ``None`` or ``1`` runs the chains serially in-process; larger
-            values fan the chains out over a process pool.  The results
-            are bitwise identical either way.
+            ``None`` runs the chains in this process; a count ``N >= 1``
+            hosts them on ``N`` worker processes (see
+            :func:`~repro.inference.pool.chain_pool`).  The results are
+            bitwise identical either way.
         """
         if n_samples < 1 or thin < 1 or burn_in < 0:
             raise InferenceError("need n_samples >= 1, thin >= 1, burn_in >= 0")
-        specs = self.chain_specs(n_samples, thin=thin, burn_in=burn_in)
-        if workers is not None and workers > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
-                chains = list(pool.map(run_chain, specs))
-        else:
-            chains = [run_chain(spec) for spec in specs]
+        with chain_pool(self.recipes, workers) as pool:
+            chains = pool.collect(n_samples, thin=thin, burn_in=burn_in)
         return MultiChainPosterior(chains=chains, init_methods=list(self.init_methods))
 
 

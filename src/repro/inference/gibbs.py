@@ -215,6 +215,10 @@ class GibbsSampler:
                 "shard_workers requires shards > 1; use persistent_workers to "
                 "fan whole chains out instead"
             )
+        if shard_workers is not None and shard_workers < 1:
+            raise InferenceError(
+                f"need at least one shard worker, got {shard_workers}"
+            )
         if shard_pool is not None and shard_workers is not None:
             raise InferenceError(
                 "pass either shard_workers (a dedicated pool) or shard_pool "

@@ -20,11 +20,7 @@ import numpy as np
 from repro.errors import InferenceError
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.init_heuristic import initial_rates_from_observed
-from repro.inference.pool import (
-    PersistentChainPool,
-    build_chain_sampler,
-    chain_recipes,
-)
+from repro.inference.pool import chain_pool, chain_recipes
 from repro.observation import ObservedTrace
 from repro.rng import RandomState
 
@@ -105,11 +101,11 @@ def run_mcem(
         Sweep engine for every E-step chain (see
         :class:`~repro.inference.gibbs.GibbsSampler`).
     persistent_workers:
-        As in :func:`~repro.inference.stem.run_stem`: fan the E-step
-        chains out over persistent worker processes that keep chain state
-        resident across EM iterations, shipping only rate vectors and
-        per-sweep sufficient statistics.  Bitwise identical to the serial
-        run at any worker count.
+        As in :func:`~repro.inference.stem.run_stem`: ``None`` hosts the
+        E-step chains in this process, a count ``W >= 1`` on ``W``
+        persistent worker processes that keep chain state resident across
+        EM iterations, shipping only rate vectors and per-sweep sufficient
+        statistics.  Bitwise identical at any worker count.
     shards:
         Sharded sweeps for every E-step chain (see
         :func:`~repro.inference.stem.run_stem`); with
@@ -140,42 +136,23 @@ def run_mcem(
     history[0] = rates
     total_sweeps = 0
     sweeps = float(e_sweeps)
-    if persistent_workers:
-        with PersistentChainPool(recipes, workers=persistent_workers) as pool:
-            for it in range(1, n_iterations + 1):
-                n_keep = max(1, int(round(sweeps)))
-                kept = pool.step(
-                    rates, burn_in=e_burn_in, n_keep=n_keep, accumulate=True
-                )
-                total_sweeps += n_chains * (e_burn_in + n_keep)
-                # Accumulate in exact serial order (chain-major, then
-                # sweep) so the reduction is bitwise identical to the
-                # in-process loop below.
-                acc = np.zeros(trace.skeleton.n_queues)
-                for chain_kept in kept:
-                    for row in chain_kept:
-                        acc += row
-                rates = _mcem_m_step(counts, acc, n_keep * n_chains)
-                history[it] = rates
-                sweeps *= growth
-            samplers = pool.finish(rates)
-    else:
-        samplers = [build_chain_sampler(recipe) for recipe in recipes]
+    with chain_pool(recipes, persistent_workers) as pool:
         for it in range(1, n_iterations + 1):
             n_keep = max(1, int(round(sweeps)))
+            kept = pool.step(
+                rates, burn_in=e_burn_in, n_keep=n_keep, accumulate=True
+            )
+            total_sweeps += n_chains * (e_burn_in + n_keep)
+            # Reduce chain-major, then sweep by sweep: the summation order
+            # fixes the bits of every iterate.
             acc = np.zeros(trace.skeleton.n_queues)
-            for sampler in samplers:
-                sampler.run(e_burn_in)
-                total_sweeps += e_burn_in
-                for _ in range(n_keep):
-                    sampler.sweep()
-                    acc += sampler.state.total_service_by_queue()
-                total_sweeps += n_keep
-            rates = _mcem_m_step(counts, acc, n_keep * len(samplers))
-            for sampler in samplers:
-                sampler.set_rates(rates)
+            for chain_kept in kept:
+                for row in chain_kept:
+                    acc += row
+            rates = _mcem_m_step(counts, acc, n_keep * n_chains)
             history[it] = rates
             sweeps *= growth
+        samplers = pool.finish(rates)
     return MCEMResult(
         rates=rates,
         rates_history=history,

@@ -1,27 +1,26 @@
-"""Persistent worker processes for multi-chain EM E-steps.
+"""Chain hosts: the one place Gibbs chains are built and executed.
 
-Naive per-iteration pooling of StEM/MCEM E-steps loses: shipping every
-chain's full latent state to a fresh worker each round costs more than the
-sweep itself.  The fix — the standard long-lived-worker design of
-datacenter services — is to make the chain state *resident*: each worker
-process builds its chains once, keeps them warm across EM iterations, and
-per round receives only the current rate vector and returns only the
-per-queue sufficient statistics (a ``total_service_by_queue`` vector per
-chain).  The master never touches chain state until the final iterate,
-when the evolved samplers are shipped back once.
+StEM and MCEM E-steps (:mod:`repro.inference.stem`,
+:mod:`repro.inference.mcem`) and the posterior chains of
+:class:`~repro.inference.chains.MultiChainSampler` all describe their
+chains as :class:`ChainRecipe` s and run them through the pool that
+:func:`chain_pool` returns:
 
-Determinism: a chain's trajectory is a pure function of its
-:class:`ChainRecipe` (trace, init method, seed material), never of the
-worker that hosts it, so ``run_stem``/``run_mcem`` produce **bitwise
-identical** rate histories serially and at any worker count —
-``tests/inference/test_pool.py`` pins this.
+* :class:`LocalChainPool` hosts the chains in this process;
+* :class:`PersistentChainPool` hosts them in long-lived worker processes.
+  Naive per-iteration pooling of E-steps loses: shipping every chain's
+  full latent state to a fresh worker each round costs more than the
+  sweep itself.  So the chain state is *resident*: each worker builds its
+  chains once, keeps them warm across EM iterations, and per round
+  receives only the current rate vector and returns only the per-queue
+  sufficient statistics.  The evolved samplers (or collected posterior
+  draws) are shipped back once, at the end.
 
-This module is also the single home of E-step chain *construction*
-(:func:`chain_recipes` / :func:`build_chain_sampler`): the serial paths of
-:mod:`repro.inference.stem` and :mod:`repro.inference.mcem` build their
-in-process samplers from the same recipes the workers consume, which is
-what makes the serial/persistent equivalence an identity rather than a
-hope.
+Both hosts run the same per-chain command functions (:func:`step_chains`,
+:func:`collect_chains`, :func:`finish_chains`), and a chain's trajectory
+is a pure function of its recipe (trace, init method, seed material),
+never of the host, so results are **bitwise identical** in-process and at
+any worker count — ``tests/inference/test_pool.py`` pins this.
 """
 
 from __future__ import annotations
@@ -32,13 +31,46 @@ import numpy as np
 
 from repro.errors import InferenceError
 from repro.events import EventSet
-from repro.inference.chains import chain_seed_sequences, jittered_rates
-from repro.inference.gibbs import GibbsSampler
+from repro.inference.gibbs import GibbsSampler, PosteriorSamples
 from repro.inference.init_heuristic import heuristic_initialize
 from repro.inference.init_lp import lp_initialize
 from repro.inference.transport import PipeTransport, WorkerTransport
 from repro.observation import ObservedTrace
-from repro.rng import RandomState, as_generator
+from repro.rng import RandomState, as_generator, as_seed_sequence
+
+
+def chain_seed_sequences(
+    random_state: RandomState, n_chains: int
+) -> list[tuple[np.random.SeedSequence, np.random.SeedSequence]]:
+    """Derive each chain's ``(init, sweep)`` seed pair from one master seed.
+
+    The master seed spawns one child per chain and each child spawns an
+    initialization stream (rate jitter) and a sweep stream (Gibbs moves).
+    Everything any chain ever draws is a pure function of the master seed
+    and the chain index, which is what makes multi-chain runs bitwise
+    reproducible at any worker count.  A caller-supplied ``Generator`` is
+    never drawn from (its seed sequence is spawned instead), so sharing
+    one with other components leaves their streams untouched.
+    """
+    master = as_seed_sequence(random_state)
+    return [tuple(child.spawn(2)) for child in master.spawn(n_chains)]
+
+
+def jittered_rates(
+    rates: np.ndarray, jitter: float, init_seed: np.random.SeedSequence
+) -> np.ndarray:
+    """The over-dispersed chains' initializer rates.
+
+    Multiplies each rate by ``exp(jitter * N(0, 1))`` drawn from the
+    chain's dedicated init stream — a different feasible corner of the
+    constraint polytope per chain, shared by
+    :class:`~repro.inference.chains.MultiChainSampler` and the StEM/MCEM
+    multi-chain E-steps.
+    """
+    rng = np.random.Generator(np.random.PCG64(init_seed))
+    return np.asarray(rates, dtype=float) * np.exp(
+        jitter * rng.standard_normal(np.asarray(rates).size)
+    )
 
 
 def initialize_state(
@@ -64,13 +96,14 @@ def initialize_state(
 
 @dataclass
 class ChainRecipe:
-    """Everything needed to (re)build one E-step chain, picklable.
+    """Everything needed to (re)build one chain, picklable.
 
-    Chain 0 carries ``init_seed=None`` (it initializes at the base rates
-    with the caller's generator, exactly like the historical single-chain
-    run); chains 1+ carry dedicated seed-sequence spawns and jitter their
-    initializer rates.  ``shards`` selects the sharded sweep engine of
-    :mod:`repro.inference.shard` for the chain's sweeps.
+    A recipe with ``init_seed=None`` initializes at the base rates (E-step
+    chain 0, and posterior chains 0 and 1); the others jitter their
+    initializer rates from that dedicated seed-sequence spawn.
+    ``sweep_state`` seeds the chain's Gibbs moves.  ``shards`` selects the
+    sharded sweep engine of :mod:`repro.inference.shard` for the chain's
+    sweeps.
     """
 
     index: int
@@ -114,14 +147,17 @@ def chain_recipes(
     independent seed-sequence spawns that never draw from a
     caller-supplied generator.
     """
-    recipes = [
+    seeds = [(None, as_generator(random_state))]
+    if n_chains > 1:
+        seeds += chain_seed_sequences(random_state, n_chains)[1:]
+    return [
         ChainRecipe(
-            index=0,
+            index=k,
             trace=trace,
             rates=rates,
             init_method=init_method,
-            init_seed=None,
-            sweep_state=as_generator(random_state),
+            init_seed=init_seed,
+            sweep_state=sweep_state,
             jitter=jitter,
             shuffle=shuffle,
             kernel=kernel,
@@ -129,29 +165,8 @@ def chain_recipes(
             partition=partition,
             threads=threads,
         )
+        for k, (init_seed, sweep_state) in enumerate(seeds)
     ]
-    if n_chains == 1:
-        return recipes
-    for k, (init_seed, sweep_seed) in enumerate(
-        chain_seed_sequences(random_state, n_chains)[1:], start=1
-    ):
-        recipes.append(
-            ChainRecipe(
-                index=k,
-                trace=trace,
-                rates=rates,
-                init_method=init_method,
-                init_seed=init_seed,
-                sweep_state=sweep_seed,
-                jitter=jitter,
-                shuffle=shuffle,
-                kernel=kernel,
-                shards=shards,
-                partition=partition,
-                threads=threads,
-            )
-        )
-    return recipes
 
 
 def build_chain_sampler(
@@ -160,12 +175,11 @@ def build_chain_sampler(
     shard_pool=None,
     shard_transport: WorkerTransport | None = None,
 ) -> GibbsSampler:
-    """Materialize one warm E-step chain from its recipe.
+    """Materialize one warm chain from its recipe.
 
     *shard_workers* optionally attaches a shard worker pool to a sharded
     chain (``recipe.shards > 1``) — the distributed-sweep path of
-    :func:`~repro.inference.stem.run_stem`; serial and pooled chains are
-    built from the same recipe either way, and *shard_transport* selects
+    :func:`~repro.inference.stem.run_stem` — and *shard_transport* selects
     that pool's worker transport.  *shard_pool* instead adopts an
     externally owned warm pool
     (:class:`~repro.inference.shard.WarmShardWorkerPool`) whose processes
@@ -193,8 +207,71 @@ def build_chain_sampler(
 
 
 # ----------------------------------------------------------------------
-# Worker protocol.
+# Chain commands: the per-chain bodies both hosts run.
 # ----------------------------------------------------------------------
+
+
+def step_chains(
+    samplers: dict[int, GibbsSampler],
+    rates: np.ndarray,
+    burn_in: int,
+    n_keep: int,
+    accumulate: bool,
+) -> dict[int, np.ndarray]:
+    """One E-step round on every chain: set rates, burn in, keep sweeps.
+
+    Returns ``{chain index: stats}`` where stats is the ``(n_keep,
+    n_queues)`` stack of per-sweep totals (*accumulate*) or the
+    final-state totals.
+    """
+    out = {}
+    for index in sorted(samplers):
+        sampler = samplers[index]
+        sampler.set_rates(rates)
+        sampler.run(burn_in)
+        if accumulate:
+            kept = np.empty((n_keep, sampler.state.n_queues))
+            for i in range(n_keep):
+                sampler.sweep()
+                kept[i] = sampler.state.total_service_by_queue()
+            out[index] = kept
+        else:
+            sampler.run(n_keep)
+            # Sharded chains sum per-shard partials in shard order, the
+            # same in-process and on shard workers.
+            out[index] = sampler.service_totals()
+    return out
+
+
+def collect_chains(
+    samplers: dict[int, GibbsSampler], n_samples: int, thin: int, burn_in: int
+) -> dict[int, PosteriorSamples]:
+    """Posterior draws from every chain (:meth:`GibbsSampler.collect`)."""
+    return {
+        index: samplers[index].collect(n_samples, thin=thin, burn_in=burn_in)
+        for index in sorted(samplers)
+    }
+
+
+def finish_chains(
+    samplers: dict[int, GibbsSampler], rates: np.ndarray
+) -> dict[int, GibbsSampler]:
+    """Set the final rates and make every chain self-contained.
+
+    Shard-worker state is pulled home, so each returned sampler holds its
+    complete stitched chain and owns no processes.
+    """
+    for sampler in samplers.values():
+        sampler.set_rates(rates)
+        sampler.finish_shards()
+    return samplers
+
+
+_CHAIN_COMMANDS = {
+    "step": step_chains,
+    "collect": collect_chains,
+    "finish": finish_chains,
+}
 
 
 def _describe_error(exc: BaseException) -> str:
@@ -202,17 +279,12 @@ def _describe_error(exc: BaseException) -> str:
 
 
 def _pool_worker_main(conn, recipes: list[ChainRecipe]) -> None:
-    """Entry point of one persistent worker: build chains, then serve steps.
+    """Entry point of one persistent worker: build chains, then serve.
 
-    Messages (tuples, first element is the command):
-
-    * ``("step", rates, burn_in, n_keep, accumulate)`` — for each resident
-      chain: ``set_rates``, run *burn_in* sweeps, then *n_keep* sweeps;
-      reply ``("ok", {chain_index: stats})`` where stats is the per-sweep
-      stacked totals (*accumulate*) or the final-state totals.
-    * ``("finish", rates)`` — set the final rates and ship the evolved
-      samplers back, then exit.
-    * ``("close",)`` — exit.
+    Messages are tuples ``(command, *args)``: ``"step"``, ``"collect"``
+    and ``"finish"`` run the chain command of that name on the resident
+    chains and reply ``("ok", {chain_index: result})`` (the worker exits
+    after ``"finish"``); ``("close",)`` exits.
 
     Any exception is reported as ``("error", description)`` and ends the
     worker, so the master can shut the pool down cleanly.
@@ -226,35 +298,11 @@ def _pool_worker_main(conn, recipes: list[ChainRecipe]) -> None:
         return
     try:
         while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "step":
-                _, rates, burn_in, n_keep, accumulate = msg
-                out = {}
-                for index in sorted(samplers):
-                    sampler = samplers[index]
-                    sampler.set_rates(rates)
-                    sampler.run(burn_in)
-                    if accumulate:
-                        kept = np.empty((n_keep, sampler.state.n_queues))
-                        for i in range(n_keep):
-                            sampler.sweep()
-                            kept[i] = sampler.state.total_service_by_queue()
-                        out[index] = kept
-                    else:
-                        sampler.run(n_keep)
-                        # service_totals == chain_service_totals for
-                        # unsharded chains, and matches the serial sharded
-                        # accumulation order for sharded ones.
-                        out[index] = sampler.service_totals()
-                conn.send(("ok", out))
-            elif cmd == "finish":
-                _, rates = msg
-                for sampler in samplers.values():
-                    sampler.set_rates(rates)
-                conn.send(("ok", samplers))
+            cmd, *args = conn.recv()
+            if cmd == "close":
                 return
-            else:  # "close"
+            conn.send(("ok", _CHAIN_COMMANDS[cmd](samplers, *args)))
+            if cmd == "finish":
                 return
     except BaseException as exc:  # noqa: BLE001 — must cross the pipe
         try:
@@ -298,7 +346,6 @@ class PersistentWorkerPool:
                 )
             n_workers = int(workers)
             payloads: list[list] = [[] for _ in range(n_workers)]
-            self.n_items = 0
         else:
             if not items:
                 raise InferenceError("need at least one worker payload")
@@ -307,7 +354,6 @@ class PersistentWorkerPool:
                 raise InferenceError(f"need at least one worker, got {workers}")
             n_workers = min(n_workers, len(items))
             payloads = [items[w::n_workers] for w in range(n_workers)]
-            self.n_items = len(items)
         self.n_workers = n_workers
         self.transport = transport if transport is not None else PipeTransport()
         self._handles = []
@@ -419,17 +465,95 @@ class PersistentWorkerPool:
         self.close()
 
 
-class PersistentChainPool(PersistentWorkerPool):
-    """Long-lived worker processes holding warm E-step chains.
+class _ChainHost:
+    """The chain-pool API over one primitive, ``_run(command, *args)``:
+    run the named chain command on every chain, results in chain order."""
+
+    def step(
+        self,
+        rates: np.ndarray,
+        burn_in: int = 0,
+        n_keep: int = 1,
+        accumulate: bool = False,
+    ) -> list[np.ndarray]:
+        """One E-step round on every chain; returns per-chain statistics.
+
+        With ``accumulate=False`` each chain runs ``burn_in + n_keep``
+        sweeps and returns its final-state per-queue totals (the StEM
+        E-step).  With ``accumulate=True`` it returns the ``(n_keep,
+        n_queues)`` stack of post-burn-in per-sweep totals (the MCEM
+        E-step), letting the caller reduce them in chain-major order.
+        """
+        rates = np.asarray(rates, dtype=float)
+        return self._run("step", rates, int(burn_in), int(n_keep), accumulate)
+
+    def collect(
+        self, n_samples: int, thin: int = 1, burn_in: int = 0
+    ) -> list[PosteriorSamples]:
+        """Posterior draws from every chain (see :meth:`GibbsSampler.collect`)."""
+        return self._run("collect", int(n_samples), int(thin), int(burn_in))
+
+    def finish(self, rates: np.ndarray) -> list[GibbsSampler]:
+        """Set the final rates and hand the evolved samplers over, once;
+        the pool is closed afterwards."""
+        samplers = self._run("finish", np.asarray(rates, dtype=float))
+        self.close()
+        return samplers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+class LocalChainPool(_ChainHost):
+    """The chains hosted in this process, behind the worker pools' API.
+
+    *build_kwargs* go to :func:`build_chain_sampler` — the shard worker
+    count (and transport) or the external warm shard pool of a single
+    sharded chain.
+    """
+
+    def __init__(self, recipes: list[ChainRecipe], **build_kwargs) -> None:
+        self._samplers: dict[int, GibbsSampler] | None = {}
+        try:
+            for recipe in recipes:
+                self._samplers[recipe.index] = build_chain_sampler(
+                    recipe, **build_kwargs
+                )
+        except BaseException:
+            self.close()
+            raise
+
+    @property
+    def closed(self) -> bool:
+        """Whether the pool has been closed (or has handed its chains over)."""
+        return self._samplers is None
+
+    def _run(self, command: str, *args) -> list:
+        if self._samplers is None:
+            raise InferenceError("the chain pool is closed")
+        out = _CHAIN_COMMANDS[command](self._samplers, *args)
+        return [out[index] for index in sorted(out)]
+
+    def close(self) -> None:
+        """Release the chains' shard workers and thread pools; idempotent."""
+        samplers, self._samplers = self._samplers, None
+        for sampler in (samplers or {}).values():
+            sampler.close()
+
+
+class PersistentChainPool(_ChainHost, PersistentWorkerPool):
+    """Long-lived worker processes holding warm chains.
 
     Chains never migrate between workers, so results are bitwise identical
-    at any ``workers`` count (including the serial in-process path built
-    from the same recipes).
+    at any ``workers`` count and to :class:`LocalChainPool`.
 
     Parameters
     ----------
     recipes:
-        Output of :func:`chain_recipes`.
+        The chains' recipes (e.g. :func:`chain_recipes`).
     workers:
         Worker process count; clamped to the number of chains.  Defaults
         to one worker per chain.
@@ -447,33 +571,22 @@ class PersistentChainPool(PersistentWorkerPool):
         transport: WorkerTransport | None = None,
     ) -> None:
         super().__init__(recipes, workers, _pool_worker_main, transport)
-        self.n_chains = self.n_items
 
-    # ------------------------------------------------------------------
-    # E-step operations.
-    # ------------------------------------------------------------------
+    def _run(self, command: str, *args) -> list:
+        return self._broadcast((command, *args))
 
-    def step(
-        self,
-        rates: np.ndarray,
-        burn_in: int = 0,
-        n_keep: int = 1,
-        accumulate: bool = False,
-    ) -> list[np.ndarray]:
-        """One E-step round on every chain; returns per-chain statistics.
 
-        With ``accumulate=False`` each chain runs ``burn_in + n_keep``
-        sweeps and returns its final-state per-queue totals (the StEM
-        E-step).  With ``accumulate=True`` it returns the ``(n_keep,
-        n_queues)`` stack of post-burn-in per-sweep totals (the MCEM
-        E-step), letting the master reduce them in exact serial order.
-        """
-        rates = np.asarray(rates, dtype=float)
-        return self._broadcast(("step", rates, int(burn_in), int(n_keep), accumulate))
+def chain_pool(
+    recipes: list[ChainRecipe], workers: int | None = None, **build_kwargs
+) -> LocalChainPool | PersistentChainPool:
+    """The host for *recipes*' chains — the one way chains are executed.
 
-    def finish(self, rates: np.ndarray) -> list[GibbsSampler]:
-        """Set the final rates and retrieve the evolved samplers, once."""
-        rates = np.asarray(rates, dtype=float)
-        samplers = self._broadcast(("finish", rates))
-        self.close()
-        return samplers
+    ``workers=None`` hosts them in this process (:class:`LocalChainPool`,
+    which alone takes *build_kwargs*); a count ``N >= 1`` hosts them on
+    ``N`` worker processes (:class:`PersistentChainPool`); anything lower
+    raises :class:`~repro.errors.InferenceError`.  Results are bitwise
+    identical whichever host runs them.
+    """
+    if workers is None:
+        return LocalChainPool(recipes, **build_kwargs)
+    return PersistentChainPool(recipes, workers, **build_kwargs)

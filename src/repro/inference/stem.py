@@ -23,12 +23,7 @@ from repro.telemetry import phase as _phase
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.init_heuristic import initial_rates_from_observed
 from repro.inference.mstep import mle_rates_from_stats
-from repro.inference.pool import (
-    PersistentChainPool,
-    build_chain_sampler,
-    chain_recipes,
-    initialize_state,
-)
+from repro.inference.pool import chain_pool, chain_recipes, initialize_state
 from repro.observation import ObservedTrace
 from repro.rng import RandomState
 
@@ -136,24 +131,23 @@ def run_stem(
         Sweep engine for every E-step chain (see
         :class:`~repro.inference.gibbs.GibbsSampler`).
     persistent_workers:
-        ``None`` (default) runs the E-step chains serially in-process.  A
-        positive count fans them out over that many *persistent* worker
-        processes (:class:`~repro.inference.pool.PersistentChainPool`):
-        chains stay resident in their worker across EM iterations and only
-        rate vectors and per-queue sufficient statistics cross the process
-        boundary each round.  Results are bitwise identical to the serial
-        run at any worker count.
+        ``None`` (default) hosts the E-step chains in this process.  A
+        count ``W >= 1`` hosts them on ``W`` *persistent* worker processes
+        (:func:`~repro.inference.pool.chain_pool`): chains stay resident
+        in their worker across EM iterations and only rate vectors and
+        per-queue sufficient statistics cross the process boundary each
+        round.  Results are bitwise identical at any worker count.
     shards:
         With ``shards > 1`` every E-step chain's sweep itself is sharded
         (:mod:`repro.inference.shard`): the trace's tasks are partitioned,
         interior moves sweep per shard and only boundary events are
         exchanged between super-steps.  Combined with
-        ``persistent_workers`` and a single chain, the shards of that
-        chain are distributed across the workers (sub-traces stay
-        resident; only boundary times and per-queue statistics cross the
-        process boundary) — bitwise identical to the in-process sharded
-        run at any worker count.  With multiple chains, each worker hosts
-        whole (sharded) chains as usual.
+        ``persistent_workers`` and a single chain, the chain stays
+        in-process and its *shards* are distributed across the workers
+        (sub-traces stay resident; only boundary times and per-queue
+        statistics cross the process boundary) — bitwise identical to the
+        in-process sharded run at any worker count.  With multiple
+        chains, each worker hosts whole (sharded) chains as usual.
     shard_pool:
         An externally owned
         :class:`~repro.inference.shard.WarmShardWorkerPool` that hosts
@@ -182,7 +176,7 @@ def run_stem(
         raise InferenceError(f"need at least one chain, got {n_chains}")
     if shards < 1:
         raise InferenceError(f"need at least one shard, got {shards}")
-    if shard_pool is not None and persistent_workers:
+    if shard_pool is not None and persistent_workers is not None:
         raise InferenceError(
             "pass either persistent_workers or an external shard_pool, not both"
         )
@@ -214,53 +208,25 @@ def run_stem(
     counts = trace.skeleton.events_per_queue().astype(float)
     history = np.empty((n_iterations + 1, trace.skeleton.n_queues))
     history[0] = rates
-    shard_pool_run = bool(persistent_workers) and shards > 1 and n_chains == 1
-    if persistent_workers and not shard_pool_run:
-        with PersistentChainPool(recipes, workers=persistent_workers) as pool:
-            for it in range(1, n_iterations + 1):
-                with _phase("sweeps"):
-                    totals = pool.step(rates, n_keep=sweeps_per_iteration)
-                with _phase("m-step"):
-                    rates = mle_rates_from_stats(counts, totals)
-                history[it] = rates
-            estimate = history[burn_in:].mean(axis=0)
-            samplers = pool.finish(estimate)
-    else:
-        # Serial chains — or one chain whose *shards* fan out over the
-        # persistent workers.  Both build from the same recipes and use
-        # the same statistic accumulation, so the three paths (serial,
-        # chain-pooled, shard-pooled) stay bitwise aligned.
-        samplers = [
-            build_chain_sampler(
-                recipe,
-                shard_workers=persistent_workers if shard_pool_run else None,
-                shard_pool=shard_pool,
-                shard_transport=shard_transport if shard_pool_run else None,
-            )
-            for recipe in recipes
-        ]
-        try:
-            for it in range(1, n_iterations + 1):
-                with _phase("sweeps"):
-                    for sampler in samplers:
-                        sampler.run(sweeps_per_iteration)
-                with _phase("m-step"):
-                    rates = mle_rates_from_stats(
-                        counts, [s.service_totals() for s in samplers]
-                    )
-                    for sampler in samplers:
-                        sampler.set_rates(rates)
-                history[it] = rates
-            estimate = history[burn_in:].mean(axis=0)
-            for sampler in samplers:
-                sampler.set_rates(estimate)
-                # Pull shard-worker state home so the returned sampler holds
-                # the complete stitched chain and owns no processes.
-                sampler.finish_shards()
-        except BaseException:
-            for sampler in samplers:
-                sampler.close()
-            raise
+    workers, build = persistent_workers, {}
+    if n_chains == 1 and shards > 1:
+        # One sharded chain: the workers (or the external warm pool) host
+        # its shards while the chain itself stays in-process.
+        workers = None
+        build = dict(
+            shard_workers=persistent_workers,
+            shard_pool=shard_pool,
+            shard_transport=shard_transport,
+        )
+    with chain_pool(recipes, workers, **build) as pool:
+        for it in range(1, n_iterations + 1):
+            with _phase("sweeps"):
+                totals = pool.step(rates, n_keep=sweeps_per_iteration)
+            with _phase("m-step"):
+                rates = mle_rates_from_stats(counts, totals)
+            history[it] = rates
+        estimate = history[burn_in:].mean(axis=0)
+        samplers = pool.finish(estimate)
     return StEMResult(
         rates=estimate,
         rates_history=history,

@@ -7,10 +7,10 @@ from repro.errors import InferenceError
 from repro.inference import (
     GibbsSampler,
     MultiChainSampler,
+    build_chain_sampler,
     chain_seed_sequences,
     heuristic_initialize,
 )
-from repro.inference.chains import run_chain
 
 
 class TestSeeding:
@@ -125,10 +125,7 @@ class TestMultiChainSampler:
         """Over-dispersion: chains start from different latent states."""
         rates = tandem_sim.true_rates()
         mc = MultiChainSampler(tandem_trace, rates, n_chains=3, random_state=3)
-        specs = mc.chain_specs(n_samples=1, burn_in=0)
-        from repro.inference.chains import _initialize_chain
-
-        states = [_initialize_chain(spec)[1] for spec in specs]
+        states = [build_chain_sampler(recipe).state for recipe in mc.recipes]
         lat = tandem_trace.latent_arrival_events
         assert not np.array_equal(states[0].arrival[lat], states[2].arrival[lat])
 
@@ -148,15 +145,15 @@ class TestMultiChainSampler:
         assert np.isfinite(post.max_r_hat("waiting"))
         assert "split-R^hat" in post.summary()
 
-    def test_run_chain_is_self_contained(self, tandem_sim, tandem_trace):
-        """The worker entry point runs from a pickled-style spec alone."""
+    def test_chain_recipe_is_self_contained(self, tandem_sim, tandem_trace):
+        """A chain runs from its pickled recipe alone (what a worker gets)."""
         import pickle
 
         mc = MultiChainSampler(
             tandem_trace, tandem_sim.true_rates(), n_chains=2, random_state=8
         )
-        spec = mc.chain_specs(n_samples=3, burn_in=1)[1]
-        clone = pickle.loads(pickle.dumps(spec))
-        a = run_chain(spec)
-        b = run_chain(clone)
+        recipe = mc.recipes[1]
+        clone = pickle.loads(pickle.dumps(recipe))
+        a = build_chain_sampler(recipe).collect(n_samples=3, burn_in=1)
+        b = build_chain_sampler(clone).collect(n_samples=3, burn_in=1)
         np.testing.assert_array_equal(a.mean_waiting, b.mean_waiting)

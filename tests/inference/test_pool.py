@@ -1,10 +1,10 @@
-"""Tests for the persistent StEM/MCEM worker pool.
+"""Tests for the chain hosts: in-process and persistent worker pools.
 
-The contract: E-step chains are pure functions of their recipes, so a
-persistent-pool run is **bitwise identical** to the serial in-process run
-at any worker count — and a worker that raises ``InferenceError`` mid
-E-step takes the whole pool down cleanly (error surfaced, every process
-joined, ``close`` idempotent).
+The contract: chains are pure functions of their recipes, so a
+persistent-pool run is **bitwise identical** to the in-process run at any
+worker count — and a worker that raises ``InferenceError`` mid E-step
+takes the whole pool down cleanly (error surfaced, every process joined,
+``close`` idempotent).
 """
 
 import numpy as np
@@ -12,8 +12,10 @@ import pytest
 
 from repro.errors import InferenceError
 from repro.inference import (
+    MultiChainSampler,
     PersistentChainPool,
     build_chain_sampler,
+    chain_pool,
     chain_recipes,
     run_mcem,
     run_stem,
@@ -93,20 +95,41 @@ class TestPoolMechanics:
         finally:
             pool.close()
 
-    def test_step_statistics_match_inprocess_chains(self, pool_setup):
-        """One pool round == running the same recipes in-process."""
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["final", "accumulate"])
+    def test_step_statistics_match_inprocess_chains(self, pool_setup, accumulate):
+        """One pool round == the E-step body run by hand on the same recipes:
+        final-state totals (StEM) or the chain-major per-sweep stack (MCEM)."""
         sim, trace = pool_setup
         rates = sim.true_rates()
         recipes = self._recipes(trace, rates)
         with PersistentChainPool(recipes, workers=2) as pool:
-            shipped = pool.step(rates, n_keep=2)
-        samplers = [build_chain_sampler(r) for r in recipes]
-        for sampler, totals in zip(samplers, shipped):
+            shipped = pool.step(rates, burn_in=1, n_keep=2, accumulate=accumulate)
+        for recipe, stats in zip(recipes, shipped):
+            sampler = build_chain_sampler(recipe)
             sampler.set_rates(rates)
-            sampler.run(2)
-            np.testing.assert_array_equal(
-                totals, np.maximum(sampler.state.total_service_by_queue(), 0.0)
-            )
+            sampler.run(1)
+            if accumulate:
+                expected = []
+                for _ in range(2):
+                    sampler.sweep()
+                    expected.append(sampler.state.total_service_by_queue())
+                np.testing.assert_array_equal(stats, np.array(expected))
+            else:
+                sampler.run(2)
+                np.testing.assert_array_equal(
+                    stats, np.maximum(sampler.state.total_service_by_queue(), 0.0)
+                )
+
+    def test_collect_matches_inprocess_chains(self, pool_setup):
+        """Pooled posterior draws == each recipe's own GibbsSampler.collect."""
+        sim, trace = pool_setup
+        recipes = self._recipes(trace, sim.true_rates(), n_chains=3)
+        with chain_pool(recipes, 2) as pool:
+            shipped = pool.collect(n_samples=3, thin=2, burn_in=1)
+        for recipe, draws in zip(recipes, shipped):
+            expected = build_chain_sampler(recipe).collect(3, thin=2, burn_in=1)
+            np.testing.assert_array_equal(draws.mean_waiting, expected.mean_waiting)
+            np.testing.assert_array_equal(draws.log_joint, expected.log_joint)
 
     def test_inference_error_mid_step_shuts_down_cleanly(self, pool_setup):
         """A worker-side InferenceError surfaces and kills every worker."""
@@ -143,9 +166,32 @@ class TestPoolMechanics:
 
     def test_validation(self, pool_setup):
         sim, trace = pool_setup
+        recipes = self._recipes(trace, sim.true_rates())
         with pytest.raises(InferenceError):
             PersistentChainPool([])
         with pytest.raises(InferenceError):
-            PersistentChainPool(
-                self._recipes(trace, sim.true_rates()), workers=0
-            )
+            PersistentChainPool(recipes, workers=0)
+        # A worker count below one is an error, never a silent in-process run.
+        for workers in (0, -1):
+            with pytest.raises(InferenceError, match="at least one worker"):
+                chain_pool(recipes, workers)
+        kwargs = dict(n_iterations=2, init_method="heuristic", persistent_workers=0)
+        with pytest.raises(InferenceError, match="at least one worker"):
+            run_stem(trace, **kwargs)
+        with pytest.raises(InferenceError, match="at least one shard worker"):
+            run_stem(trace, shards=2, **kwargs)
+        with pytest.raises(InferenceError, match="at least one worker"):
+            run_mcem(trace, **kwargs)
+        multi = MultiChainSampler(trace, sim.true_rates(), n_chains=2, random_state=0)
+        with pytest.raises(InferenceError, match="at least one worker"):
+            multi.collect(n_samples=2, workers=0)
+
+    def test_local_pool_closes_after_finish(self, pool_setup):
+        sim, trace = pool_setup
+        pool = chain_pool(self._recipes(trace, sim.true_rates()))
+        pool.step(sim.true_rates())
+        samplers = pool.finish(sim.true_rates())
+        assert len(samplers) == 2 and pool.closed
+        with pytest.raises(InferenceError, match="closed"):
+            pool.step(sim.true_rates())
+        pool.close()  # idempotent

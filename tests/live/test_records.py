@@ -63,6 +63,32 @@ class TestMeasurementRecord:
         with pytest.raises(InvalidEventSetError, match="last event"):
             measurement_record(task=0, seq=1, queue=1, counter=0, departure=2.0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("arrival", {"arrival": float("nan")}),
+            ("arrival", {"arrival": float("inf")}),
+            ("arrival", {"arrival": -1.0}),
+            ("departure", {"departure": float("-inf")}),
+            ("departure", {"departure": -0.5}),
+            ("departure", {"arrival": 3.0, "departure": 2.0}),
+            ("task", {"task": True}),
+            ("seq", {"seq": True}),
+            ("queue", {"queue": True}),
+            ("counter", {"counter": True}),
+        ],
+    )
+    def test_rejects_bad_values_naming_the_field(self, field, bad):
+        record = {
+            "task": 0, "seq": 1, "queue": 1, "counter": 0,
+            "arrival": 1.0, "departure": 2.0, "last": True, **bad,
+        }
+        with pytest.raises(InvalidEventSetError, match=field):
+            measurement_record(**record)
+        # The ingest boundary rejects the same record the same way.
+        with pytest.raises(InvalidEventSetError, match=field):
+            validate_measurement_record(record)
+
     def test_validate_rejects_malformed_input(self):
         with pytest.raises(InvalidEventSetError, match="dicts"):
             validate_measurement_record(("task", 0))

@@ -113,6 +113,34 @@ class TestInfer:
             main(["infer", str(out), "--shards", "2", "--kernel", "object"])
         with pytest.raises(SystemExit, match="--threads"):
             main(["infer", str(out), "--threads", "0"])
+        # Counts the library rejects exit naming the flag.
+        for extra, flag in (
+            (["--chains", "0"], "--chains"),
+            (["--shards", "0"], "--shards"),
+            (["--workers", "0"], "--workers"),
+            (["--workers", "0", "--chains", "2"], "--workers"),
+            (["--workers", "0", "--shards", "2"], "--workers"),
+        ):
+            with pytest.raises(SystemExit, match=flag):
+                main(["infer", str(out), *extra])
+
+    def test_infer_output_is_independent_of_workers(self, tmp_path, capsys):
+        """One --workers hosts the E-step and posterior chains; any count
+        prints the same report as the in-process run."""
+        out = tmp_path / "trace.jsonl"
+        main([
+            "simulate", "--topology", "tandem", "--tasks", "60",
+            "--arrival-rate", "4", "--service-rate", "8",
+            "--servers", "1", "2", "--seed", "3", "--out", str(out),
+        ])
+        args = ["infer", str(out), "--observe", "0.3", "--iterations", "6",
+                "--chains", "2"]
+        reports = []
+        for extra in ([], ["--workers", "2"]):
+            capsys.readouterr()
+            assert main([*args, *extra]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_infer_threads_and_native_round_trip(self, tmp_path, capsys):
         """--threads and --kernel native reach the sampler through the CLI
