@@ -12,7 +12,12 @@ import numpy as np
 from repro.experiments import render_table
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online import WindowedEstimator, detect_anomalies
+from repro.online import (
+    EstimatorConfig,
+    ReplayTraceStream,
+    StreamingEstimator,
+    detect_anomalies,
+)
 from repro.simulate import RateChange, simulate_with_faults
 
 
@@ -26,8 +31,10 @@ def test_online_fault_detection(benchmark):
     )
     trace = TaskSampling(fraction=0.25).observe(sim.events, random_state=40)
     horizon = float(np.sort(sim.events.departure[sim.events.seq == 0])[-1])
-    estimator = WindowedEstimator(
-        trace, window=horizon / 10, stem_iterations=30, random_state=41
+    estimator = StreamingEstimator(
+        ReplayTraceStream(trace),
+        EstimatorConfig(window=horizon / 10, stem_iterations=30),
+        random_state=41,
     )
 
     windows = benchmark.pedantic(estimator.run, rounds=1, iterations=1)

@@ -13,15 +13,16 @@ one stream replayed twice:
   stream plus incremental re-partitioning, so shards away from the
   window edges adopt only fresh time arrays (``n_warm_shards`` reports
   how often that fired);
-* **cold** — the rebuild baseline as it existed before streaming: a
-  fresh worker pool spawned and torn down for every window, partition
-  recomputed from scratch.
+* **cold** — the rebuild baseline as it existed before streaming: one
+  :func:`~repro.inference.stem.run_stem` per window on the window's
+  sub-trace, each spawning and tearing down its own worker pool and
+  partitioning from scratch.
 
 The two modes are compared as whole designs, so the incremental
 partitioner's (small) cost difference is part of the measurement; from
 the second window on their partitions — and hence their exact draws —
 legitimately differ, while every window of either mode targets the same
-posterior (frozen-window bitwise equivalence is pinned separately by
+posterior (the per-window reference is pinned bitwise separately by
 ``tests/test_streaming.py``).
 
 The acceptance assertion — warm wall clock strictly below cold — is what
@@ -36,10 +37,19 @@ import time
 
 import numpy as np
 
+from repro.events.subset import SubsetIndex, subset_trace
 from repro.experiments import render_table
+from repro.inference import run_stem
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online import EstimatorConfig, ReplayTraceStream, StreamingEstimator
+from repro.online import (
+    EstimatorConfig,
+    ReplayTraceStream,
+    StreamingEstimator,
+    task_fully_observed,
+)
+from repro.online.windowed import _entry_time_estimates
+from repro.rng import spawn
 from repro.simulate import simulate_network
 
 from conftest import full_scale
@@ -56,19 +66,49 @@ def make_trace(n_tasks: int, seed: int = 19):
     return sim, trace, horizon
 
 
-def run_stream(trace, horizon, *, warm: bool, shards: int, workers: int,
-               seed: int = 7):
+#: Window geometry and per-window StEM length shared by both modes.
+WINDOW_FRACTION, STEP_FRACTION, ITERATIONS, MIN_OBSERVED = 1 / 4, 1 / 12, 6, 3
+
+
+def run_warm(trace, horizon, *, shards: int, workers: int, seed: int = 7):
     """One full pass over the stream; returns (seconds, window estimates)."""
     estimator = StreamingEstimator(
         ReplayTraceStream(trace), random_state=seed,
         config=EstimatorConfig(
-            window=horizon / 4, step=horizon / 12, stem_iterations=6,
+            window=horizon * WINDOW_FRACTION, step=horizon * STEP_FRACTION,
+            stem_iterations=ITERATIONS, min_observed_tasks=MIN_OBSERVED,
             shards=shards, shard_workers=workers,
-            repartition="incremental" if warm else "cold", warm_workers=warm,
         ),
     )
     t0 = time.perf_counter()
     windows = estimator.run()
+    return time.perf_counter() - t0, windows
+
+
+def run_cold(trace, horizon, *, shards: int, workers: int, seed: int = 7):
+    """The same windows rebuilt from nothing: one ``run_stem`` per window,
+    each with a dedicated shard pool and a from-scratch partition.
+
+    Returns (seconds, [(n_shards, ok) per window]).
+    """
+    window, step = horizon * WINDOW_FRACTION, horizon * STEP_FRACTION
+    t0 = time.perf_counter()
+    entries = _entry_time_estimates(trace)
+    index = SubsetIndex(trace.skeleton)
+    starts = np.arange(0.0, max(entries.values()), step)
+    windows = []
+    for start, stream in zip(starts, spawn(seed, len(starts))):
+        tasks = [k for k, t in entries.items() if start <= t < start + window]
+        n_observed = sum(task_fully_observed(trace, k) for k in tasks)
+        if len(tasks) < 2 or n_observed < MIN_OBSERVED:
+            windows.append((1, False))
+            continue
+        run_stem(
+            subset_trace(trace, tasks, index=index), n_iterations=ITERATIONS,
+            init_method="heuristic", random_state=stream, shards=shards,
+            persistent_workers=workers,
+        )
+        windows.append((min(shards, len(tasks)), True))
     return time.perf_counter() - t0, windows
 
 
@@ -84,12 +124,12 @@ def test_streaming_warm_beats_cold(benchmark):
         warm_times, cold_times = [], []
         warm_windows = cold_windows = None
         for _ in range(2):
-            seconds, warm_windows = run_stream(
-                trace, horizon, warm=True, shards=shards, workers=workers
+            seconds, warm_windows = run_warm(
+                trace, horizon, shards=shards, workers=workers
             )
             warm_times.append(seconds)
-            seconds, cold_windows = run_stream(
-                trace, horizon, warm=False, shards=shards, workers=workers
+            seconds, cold_windows = run_cold(
+                trace, horizon, shards=shards, workers=workers
             )
             cold_times.append(seconds)
         return min(warm_times), min(cold_times), warm_windows, cold_windows
@@ -107,8 +147,8 @@ def test_streaming_warm_beats_cold(benchmark):
          f"{reused}/{shipped}"),
         ("cold (pool + partition per window)",
          f"{cold_s:.2f}", len(cold_windows),
-         len([w for w in cold_windows if w.ok]), "0/"
-         f"{sum(w.n_shards for w in cold_windows if w.n_shards > 1)}"),
+         sum(ok for _, ok in cold_windows), "0/"
+         f"{sum(n for n, ok in cold_windows if ok and n > 1)}"),
     ]
     print(f"\n=== Streaming estimation: warm vs cold "
           f"({sim.events.n_events} events, {len(warm_windows)} windows, "

@@ -18,7 +18,12 @@ from repro import TaskSampling
 from repro.model_checking import posterior_predictive_check
 from repro.inference import run_stem
 from repro.network import build_tandem_network
-from repro.online import WindowedEstimator, detect_anomalies
+from repro.online import (
+    EstimatorConfig,
+    ReplayTraceStream,
+    StreamingEstimator,
+    detect_anomalies,
+)
 from repro.simulate import RateChange, simulate_with_faults
 
 SEED = 5
@@ -41,10 +46,11 @@ def main() -> None:
     trace = TaskSampling(fraction=0.25).observe(events, random_state=SEED)
     print(trace.summary(), "\n")
 
-    estimator = WindowedEstimator(
-        trace, window=horizon / 10, stem_iterations=35, random_state=SEED
-    )
-    windows = estimator.run()
+    windows = StreamingEstimator(
+        ReplayTraceStream(trace),
+        EstimatorConfig(window=horizon / 10, stem_iterations=35),
+        random_state=SEED,
+    ).run()
 
     print(f"{'window':>14}{'tasks':>7}{'svc q1':>9}{'svc q2':>9}")
     for w in windows:

@@ -70,8 +70,8 @@ from repro.webapp import WebAppConfig, generate_webapp_trace
 
 #: The estimator flags of ``stream``/``serve``/``route``, one row per
 #: :class:`~repro.online.EstimatorConfig` field: ``(flag, field, type or
-#: choices, help)``.  The fields that are not flags: ``window`` is set per
-#: command, and ``repartition``/``warm_workers`` by ``stream --cold``.
+#: choices, help)``.  The one field that is not a flag, ``window``, is set
+#: per command.
 _ESTIMATOR_FLAGS = (
     ("--step", "step", float,
      "window start spacing (default: the window length; smaller values "
@@ -223,11 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--transport", choices=["pipe", "socket"], default="pipe",
         help="worker transport: OS pipes (default) or loopback TCP "
         "sockets — the same wire protocol remote workers would speak",
-    )
-    stream.add_argument(
-        "--cold", action="store_true",
-        help="tear shard workers down after every window instead of "
-        "keeping them warm (the rebuild baseline; same results, slower)",
     )
     stream.add_argument(
         "--anomaly-threshold", type=float, default=4.0,
@@ -543,10 +538,10 @@ def _infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _estimator_config(args, window, **fixed) -> EstimatorConfig:
+def _estimator_config(args, window) -> EstimatorConfig:
     """Build the config from the table's flags (unpassed ones keep the
     CLI defaults); a rejected value exits naming its flag."""
-    kwargs = {"window": window, **_CLI_DEFAULTS, **fixed}
+    kwargs = {"window": window, **_CLI_DEFAULTS}
     flag, field = "--window", "window"
     try:
         config = EstimatorConfig(**kwargs)
@@ -580,11 +575,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             "--transport selects the worker transport; pass --shard-workers "
             "(with --shards > 1) or drop it"
         )
-    if args.cold and args.shard_workers is None:
-        raise SystemExit(
-            "--cold tears worker pools down per window; pass --shard-workers "
-            "(with --shards > 1) or drop it"
-        )
     if args.windows < 1:
         raise SystemExit("--windows must be at least 1")
     events = load_jsonl(args.trace)
@@ -594,7 +584,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     window = (
         args.window if args.window is not None else source.horizon / args.windows
     )
-    config = _estimator_config(args, window, warm_workers=not args.cold)
+    config = _estimator_config(args, window)
     transport = SocketTransport() if args.transport == "socket" else PipeTransport()
     estimator = _build_estimator(
         args.estimator, source,

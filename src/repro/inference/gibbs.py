@@ -164,9 +164,6 @@ class GibbsSampler:
         this sampler's shards instead of spawning dedicated workers; the
         pool's processes outlive the sampler (cross-window streaming).
         Mutually exclusive with ``shard_workers``.
-    shard_transport:
-        Worker transport for a dedicated shard pool (see
-        :mod:`repro.inference.transport`); pipes by default.
     threads:
         Threaded batch evaluation inside every array kernel (see
         :class:`~repro.inference.kernel.ArraySweepKernel`); draws are
@@ -186,7 +183,6 @@ class GibbsSampler:
         shard_workers: int | None = None,
         shard_partition=None,
         shard_pool=None,
-        shard_transport=None,
         threads: int = 1,
     ) -> None:
         self.trace = trace
@@ -259,7 +255,6 @@ class GibbsSampler:
                 workers=shard_workers,
                 partition=shard_partition,
                 pool=shard_pool,
-                transport=shard_transport,
             )
         elif self.cache_blankets:
             self.rebuild_blanket_cache()

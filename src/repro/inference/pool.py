@@ -173,17 +173,16 @@ def build_chain_sampler(
     recipe: ChainRecipe,
     shard_workers: int | None = None,
     shard_pool=None,
-    shard_transport: WorkerTransport | None = None,
 ) -> GibbsSampler:
     """Materialize one warm chain from its recipe.
 
     *shard_workers* optionally attaches a shard worker pool to a sharded
     chain (``recipe.shards > 1``) — the distributed-sweep path of
-    :func:`~repro.inference.stem.run_stem` — and *shard_transport* selects
-    that pool's worker transport.  *shard_pool* instead adopts an
-    externally owned warm pool
+    :func:`~repro.inference.stem.run_stem`, over local processes and
+    pipes.  *shard_pool* instead adopts an externally owned warm pool
     (:class:`~repro.inference.shard.WarmShardWorkerPool`) whose processes
-    outlive this chain — the streaming estimator's cross-window path.
+    outlive this chain — the streaming estimator's cross-window path, and
+    the way in for any other worker transport.
     """
     if recipe.init_seed is None:
         init_rates = recipe.rates
@@ -201,7 +200,6 @@ def build_chain_sampler(
         shard_workers=shard_workers if recipe.shards > 1 else None,
         shard_partition=recipe.partition,
         shard_pool=shard_pool if recipe.shards > 1 else None,
-        shard_transport=shard_transport if recipe.shards > 1 else None,
         threads=recipe.threads,
     )
 

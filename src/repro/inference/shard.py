@@ -912,9 +912,8 @@ class ShardedSweepEngine:
         external pool; :meth:`finish_workers` recalls state and leaves
         the workers warm for the next window.  Ignored when the effective
         shard count is 1 (tiny windows fall back to the plain kernel).
-    transport:
-        Worker transport for a dedicated pool (see
-        :mod:`repro.inference.transport`); pipes by default.
+        This is also how shards reach workers over any transport other
+        than the dedicated pool's local pipes.
     """
 
     def __init__(
@@ -930,7 +929,6 @@ class ShardedSweepEngine:
         workers: int | None = None,
         partition: TaskPartition | None = None,
         pool: "WarmShardWorkerPool | None" = None,
-        transport: WorkerTransport | None = None,
     ) -> None:
         self.trace = trace
         self.shuffle = bool(shuffle)
@@ -971,7 +969,9 @@ class ShardedSweepEngine:
             self.adoption = pool.adopt(self._build_residents(state))
         elif workers is not None and self.n_shards > 1:
             self._build_master(state, build_kernels=False)
-            self._attach_workers(state, int(workers), transport)
+            self._pool = ShardWorkerPool(
+                self._build_residents(state), workers=int(workers)
+            )
         else:
             self._build_master(state, build_kernels=True)
 
@@ -1066,14 +1066,6 @@ class ShardedSweepEngine:
         # workers draw from theirs; finish_workers() restores them.
         self._shard_rngs = None
         return residents
-
-    def _attach_workers(
-        self, state: EventSet, workers: int,
-        transport: WorkerTransport | None = None,
-    ) -> None:
-        self._pool = ShardWorkerPool(
-            self._build_residents(state), workers=workers, transport=transport
-        )
 
     # ------------------------------------------------------------------
     # Parameters and structure.

@@ -93,7 +93,6 @@ def run_stem(
     shards: int = 1,
     shard_pool=None,
     shard_partition=None,
-    shard_transport=None,
     threads: int = 1,
 ) -> StEMResult:
     """Estimate ``lambda`` and all ``mu_q`` from an incomplete trace.
@@ -160,11 +159,6 @@ def run_stem(
         Optional pre-computed task partition for the sharded sweeps (the
         incremental re-partition of :mod:`repro.online.streaming`);
         ``None`` partitions from scratch.
-    shard_transport:
-        Worker transport for the dedicated shard pool of the
-        ``persistent_workers``-with-``shards`` path (see
-        :mod:`repro.inference.transport`); pipes by default.  An external
-        ``shard_pool`` carries its own transport instead.
     threads:
         Threaded batch evaluation inside every chain's array/native sweep
         kernel (see :class:`~repro.inference.gibbs.GibbsSampler`); draws
@@ -213,11 +207,7 @@ def run_stem(
         # One sharded chain: the workers (or the external warm pool) host
         # its shards while the chain itself stays in-process.
         workers = None
-        build = dict(
-            shard_workers=persistent_workers,
-            shard_pool=shard_pool,
-            shard_transport=shard_transport,
-        )
+        build = dict(shard_workers=persistent_workers, shard_pool=shard_pool)
     with chain_pool(recipes, workers, **build) as pool:
         for it in range(1, n_iterations + 1):
             with _phase("sweeps"):

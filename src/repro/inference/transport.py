@@ -177,13 +177,17 @@ class PipeTransport(WorkerTransport):
         return WorkerHandle(endpoint=parent_conn, process=proc)
 
 
-def _enable_keepalive(sock: socket.socket) -> None:
-    """Detect silently dead peers (power loss, partition) on idle waits.
+def _tune_tcp(sock: socket.socket) -> None:
+    """Detect silently dead peers, and send small frames without delay.
 
     Protocol waits between sweeps are legitimately long, so a timeout
     would be wrong; TCP keepalive probes instead turn a vanished peer
     into a connection reset, which surfaces through the endpoints as the
     :class:`EOFError`/:class:`OSError` the pools already handle.
+
+    ``TCP_NODELAY``: a frame leaves in two writes, and with Nagle on the
+    payload waits for the header's ACK, which the peer delays — tens of
+    milliseconds on every request/reply round trip.
     """
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
     for opt, value in (
@@ -193,6 +197,7 @@ def _enable_keepalive(sock: socket.socket) -> None:
     ):
         if hasattr(socket, opt):
             sock.setsockopt(socket.IPPROTO_TCP, getattr(socket, opt), value)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class SocketEndpoint:
@@ -204,13 +209,13 @@ class SocketEndpoint:
     signal the pools already translate into a clean shutdown.  Keepalive
     probes are enabled so a peer that dies without a FIN (machine loss,
     network partition) eventually errors out instead of wedging a
-    blocking ``recv`` forever.
+    blocking ``recv`` forever; Nagle is off (see :func:`_tune_tcp`).
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         try:
-            _enable_keepalive(sock)
+            _tune_tcp(sock)
         except OSError:  # not a TCP socket (tests use socketpair) — fine
             pass
 

@@ -24,7 +24,7 @@ PR 2–4 engine stack:
 
 Equivalence contract: a recorded trace ingested in order with no
 stragglers yields window estimates **bitwise identical** to the
-replay/windowed path at the same seed, for any shard-worker count —
+replay path at the same seed, for any shard-worker count —
 ``tests/live/`` pins it, together with checkpoint→restart→resume
 bitwise reproduction of frozen windows.
 """

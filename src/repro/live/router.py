@@ -274,10 +274,10 @@ class IngestRouter:
     service_config:
         Per-partition construction options: ``n_queues`` and ``window``
         are required; optional stream keys (``lateness`` /
-        ``max_pending`` / ``retain``), estimator keys (``step``,
-        ``stem_iterations``, ``min_observed_tasks``, ``shards``,
-        ``shard_workers``, ``repartition``, ``warm_workers``), service
-        keys (``checkpoint_every``, ``poll_interval``,
+        ``max_pending`` / ``retain``), estimator keys (any other
+        :class:`~repro.online.config.EstimatorConfig` field, e.g.
+        ``step``, ``stem_iterations``, ``shards``, ``shard_workers``),
+        service keys (``checkpoint_every``, ``poll_interval``,
         ``anomaly_threshold``), and ``random_state`` — the base seed,
         from which each partition receives its own spawned child, so a
         tier restarted with the same seed reproduces its estimates.

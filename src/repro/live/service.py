@@ -57,6 +57,11 @@ SERVICE_STATES = ("idle", "serving", "finished", "stopped", "failed")
 #: many windows the flags are identical to whole-history detection.
 ANOMALY_TAIL_WINDOWS = 64
 
+#: Ready windows that may await publication (the one being estimated)
+#: before :meth:`EstimatorService.ingest` holds its reply; their records
+#: cannot be compacted, so the bound caps a fast producer's lead.
+MAX_UNPUBLISHED_WINDOWS = 1
+
 
 #: Renderings accepted by the ``metrics`` wire command.
 METRICS_FORMATS = ("snapshot", "json", "prometheus")
@@ -183,6 +188,9 @@ class EstimatorService:
         #: only, so a router acking batches counts the same clock).
         self.n_records_seen = 0
         self._stop = threading.Event()
+        # Notified whenever the supervisor publishes or exits, so a held
+        # ingest reply re-checks the backlog at once.
+        self._progress = threading.Condition()
         self._thread: threading.Thread | None = None
         self._status = "idle"
         self._error: str | None = None
@@ -306,6 +314,8 @@ class EstimatorService:
                 self._checkpoint_now()
             finally:
                 self.estimator.close()
+                with self._progress:
+                    self._progress.notify_all()
 
     def _wait_for_progress(self) -> None:
         waiter = getattr(self.stream, "wait_for_progress", None)
@@ -349,10 +359,22 @@ class EstimatorService:
                 telemetry.histogram("repro_service_publish_seconds").observe(
                     latency
                 )
+        with self._progress:
+            self._progress.notify_all()
         if due:
             # Capture now, write in the background: publishing must not
             # wait on checkpoint I/O.
             self._checkpoint_now(wait=False)
+
+    def _n_unpublished_windows(self) -> int:
+        """Windows whose population is final but not yet published."""
+        est = self.estimator
+        reach = self.stream.horizon - est.window
+        if reach < 0.0:
+            return 0
+        with self._lock:
+            n_published = len(self._published)
+        return max(0, int(reach // est.step) + 1 - n_published)
 
     # ------------------------------------------------------------------
     # Query API (thread-safe; what the ingestion server exposes).
@@ -464,7 +486,9 @@ class EstimatorService:
     # Ingestion passthroughs, so the server needs only this one object.
 
     def ingest(self, records: list[dict]) -> dict:
-        """Admit measurement records into the live stream."""
+        """Admit measurement records into the live stream; the reply is
+        held while more than :data:`MAX_UNPUBLISHED_WINDOWS` ready
+        windows are unpublished."""
         if not isinstance(self.stream, LiveTraceStream):
             raise IngestError("this service's stream does not accept ingestion")
         summary = self.stream.ingest(records)
@@ -482,6 +506,16 @@ class EstimatorService:
             telemetry.counter("repro_service_records_seen_total").inc(
                 len(records)
             )
+        # A late reply, not an error, so producers need no retry logic;
+        # never held without a running supervisor to drain the backlog.
+        with self._progress:
+            while (
+                self._n_unpublished_windows() > MAX_UNPUBLISHED_WINDOWS
+                and self._thread is not None
+                and self._thread.is_alive()
+                and not self._stop.is_set()
+            ):
+                self._progress.wait(self.poll_interval)
         return summary
 
     def advance_watermark(self, t: float) -> float:

@@ -47,8 +47,8 @@ acceptance suite): ingesting a recorded task-id-major trace in order,
 with no stragglers, and sealing yields a stream whose reveals, horizon,
 and window sub-traces are **bitwise identical** to
 :class:`~repro.online.streaming.ReplayTraceStream` over the same trace —
-so live window estimates match the replay/windowed path exactly at the
-same seed, for any shard-worker count.
+so live window estimates match the replay path exactly at the same seed,
+for any shard-worker count.
 
 Finality argument (why a revealed entry estimate never changes): entry
 times are interpolated by position between *anchors* — tasks whose first

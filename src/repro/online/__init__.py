@@ -1,21 +1,22 @@
-"""Online (windowed and streaming) inference and anomaly detection.
+"""Online (sliding-window) inference and anomaly detection.
 
 Paper Section 6 names "online, distributed inference" as the most useful
 future direction, and the introduction motivates the whole enterprise
 with anomaly detection and diagnosis of *past* performance problems.
-This package implements that direction in three stages:
+This package implements that direction:
 
-* :mod:`repro.online.windowed` — slide a time window over a recorded
-  trace, rerun StEM per window against the same partial-observation
-  regime, and monitor the resulting per-queue rate series for change
-  points — "five minutes ago, a brief spike occurred; which component
-  was the bottleneck?" becomes a lookup into the window series.
-* :mod:`repro.online.streaming` — the online form: consume an
-  incrementally revealed trace (:class:`~repro.online.streaming.TraceStream`),
-  keep shard worker processes and their built kernels warm *across*
-  windows, and re-partition incrementally as tasks arrive and age out.
-  A frozen window matches the windowed estimator bitwise at the same
-  seed; warm windows only skip rebuild work, never change a draw.
+* :mod:`repro.online.streaming` — the one window driver: slide a time
+  window over an incrementally revealed trace
+  (:class:`~repro.online.streaming.TraceStream`; a
+  :class:`~repro.online.streaming.ReplayTraceStream` replays a recorded
+  one), rerun StEM per window against the same partial-observation
+  regime, keep shard worker processes and their built kernels warm
+  *across* windows, and re-partition incrementally as tasks arrive and
+  age out.  Warm windows only skip rebuild work, never change a draw.
+* :mod:`repro.online.anomaly` — monitor the resulting per-queue rate
+  series for change points — "five minutes ago, a brief spike
+  occurred; which component was the bottleneck?" becomes a lookup into
+  the window series.
 * :mod:`repro.online.smc` — the O(arrival) form: a particle population
   over the rate vector reweighted per poll batch, with ESS-triggered
   systematic resampling and exact Gibbs rejuvenation on the shared
@@ -32,16 +33,8 @@ dispatch construction on.  Configuration is one shared
 from typing import Protocol, runtime_checkable
 
 from repro.errors import InferenceError
-from repro.online.config import (
-    EstimatorConfig,
-    REPARTITION_MODES,
-    estimator_config_keys,
-)
-from repro.online.windowed import (
-    WindowEstimate,
-    WindowedEstimator,
-    task_fully_observed,
-)
+from repro.online.config import EstimatorConfig, estimator_config_keys
+from repro.online.windowed import WindowEstimate, task_fully_observed
 from repro.online.streaming import (
     ReplayTraceStream,
     StreamEstimate,
@@ -114,7 +107,6 @@ register_estimator(StreamingEstimator)
 register_estimator(SMCEstimator)
 
 __all__ = [
-    "WindowedEstimator",
     "WindowEstimate",
     "task_fully_observed",
     "StreamingEstimator",
@@ -124,7 +116,6 @@ __all__ = [
     "ReplayTraceStream",
     "EstimatorConfig",
     "estimator_config_keys",
-    "REPARTITION_MODES",
     "StreamEstimatorProtocol",
     "ESTIMATORS",
     "register_estimator",

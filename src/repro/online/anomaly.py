@@ -2,7 +2,8 @@
 
 The paper's introduction motivates performance models with "anomaly
 detection, and diagnosis of performance bugs".  Given the per-window
-service-time series from :class:`~repro.online.windowed.WindowedEstimator`,
+service-time series from
+:meth:`StreamingEstimator.run <repro.online.streaming.StreamingEstimator.run>`,
 this module flags windows where a queue's estimated mean service time
 departs from its recent history — a robust z-score against the rolling
 median/MAD, so a single faulty window or a genuine regime change is
@@ -63,7 +64,8 @@ def detect_anomalies(
     Parameters
     ----------
     windows:
-        Output of :meth:`WindowedEstimator.run` (time ordered).
+        Window estimates in time order, e.g. the output of
+        :meth:`~repro.online.streaming.StreamingEstimator.run`.
     queues:
         Queue indices to monitor; defaults to every real queue.
     threshold:

@@ -20,10 +20,6 @@ from typing import Mapping
 
 from repro.errors import InferenceError
 from repro.inference.gibbs import BATCH_KERNELS, KERNELS
-from repro.online.windowed import validate_window_params
-
-#: How the streaming estimator re-partitions work between windows.
-REPARTITION_MODES = ("incremental", "cold")
 
 
 @dataclass
@@ -31,10 +27,10 @@ class EstimatorConfig:
     """Every estimator knob, in one validated place.
 
     ``window`` is the only required field.  The StEM fields
-    (``stem_iterations``, ``shards``, ``shard_workers``, ``repartition``,
-    ``warm_workers``) are ignored by the SMC estimator, which rejects
-    sharding outright; the SMC fields (``n_particles``,
-    ``ess_threshold``, ``rejuvenation_sweeps``) are ignored by StEM.
+    (``stem_iterations``, ``shards``, ``shard_workers``) are ignored by
+    the SMC estimator, which rejects sharding outright; the SMC fields
+    (``n_particles``, ``ess_threshold``, ``rejuvenation_sweeps``) are
+    ignored by StEM.
     Both estimators honor ``kernel``/``threads``/``worker_retries`` and
     the window geometry.
 
@@ -56,16 +52,8 @@ class EstimatorConfig:
         ``shards > 1`` requires kernel ``"array"`` or ``"native"``.
     shard_workers:
         With ``shards > 1``: host the shard sweeps on this many worker
-        processes.  Results are bitwise identical at any worker count.
-    repartition:
-        ``"incremental"`` carries the task partition across windows,
-        maximizing warm-shard reuse; ``"cold"`` re-partitions every
-        window from scratch, which keeps every window bitwise equal to
-        the windowed estimator.
-    warm_workers:
-        Keep one shard worker pool for the whole stream (default), or
-        spawn and tear down a dedicated pool per window (the rebuild
-        baseline).  Results are bitwise identical either way.
+        processes, kept warm for the whole stream.  Results are bitwise
+        identical at any worker count.
     kernel:
         Sweep kernel for every window's E-step chains: ``"array"``, its
         JIT-compiled lowering ``"native"``, or the scalar ``"object"``
@@ -90,8 +78,6 @@ class EstimatorConfig:
     min_observed_tasks: int = 3
     shards: int = 1
     shard_workers: int | None = None
-    repartition: str = "incremental"
-    warm_workers: bool = True
     kernel: str = "array"
     threads: int = 1
     worker_retries: int = 1
@@ -100,12 +86,23 @@ class EstimatorConfig:
     rejuvenation_sweeps: int = 1
 
     def __post_init__(self) -> None:
-        validate_window_params(self.window, self.step, self.stem_iterations, self.shards)
         self.window = float(self.window)
+        if self.window <= 0.0:
+            raise InferenceError(f"window must be positive, got {self.window}")
         self.step = self.window if self.step is None else float(self.step)
+        if self.step <= 0.0:
+            raise InferenceError(f"step must be positive, got {self.step}")
         self.stem_iterations = int(self.stem_iterations)
+        if self.stem_iterations < 1:
+            # Rejected here, not per window: otherwise run_stem's own
+            # validation error would be misread as every window failing.
+            raise InferenceError(
+                f"need at least one StEM iteration, got {self.stem_iterations}"
+            )
         self.min_observed_tasks = int(self.min_observed_tasks)
         self.shards = int(self.shards)
+        if self.shards < 1:
+            raise InferenceError(f"need at least one shard, got {self.shards}")
         if self.kernel not in KERNELS:
             raise InferenceError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
@@ -129,12 +126,6 @@ class EstimatorConfig:
                     "shard_workers requires shards > 1 — a single shard "
                     "sweeps in-process"
                 )
-        if self.repartition not in REPARTITION_MODES:
-            raise InferenceError(
-                f"repartition must be one of {REPARTITION_MODES}, "
-                f"got {self.repartition!r}"
-            )
-        self.warm_workers = bool(self.warm_workers)
         self.worker_retries = int(self.worker_retries)
         if self.worker_retries < 0:
             raise InferenceError(
@@ -168,9 +159,19 @@ class EstimatorConfig:
         Older checkpoints predate some fields (v1 lacked ``kernel``/
         ``threads``; pre-SMC v2 lacked the particle knobs) — every
         missing field falls back to its dataclass default, which matches
-        what those estimators actually ran with.
+        what those estimators actually ran with.  Retired keys are
+        dropped — ``warm_workers`` never changed a draw — except a
+        ``"cold"`` ``repartition`` with ``shards > 1``: that stream drew
+        differently from the second window on, so it cannot resume.
         """
         state = dict(config)
+        state.pop("warm_workers", None)
+        repartition = state.pop("repartition", "incremental")
+        if repartition != "incremental" and int(state.get("shards", 1)) > 1:
+            raise InferenceError(
+                f"checkpoint config key 'repartition'={repartition!r} "
+                "with shards > 1 can no longer resume bitwise"
+            )
         for field in fields(cls):
             if field.default is not dataclasses.MISSING:
                 state.setdefault(field.name, field.default)

@@ -1,12 +1,12 @@
 """Streaming sharded estimation over an incrementally revealed trace.
 
-The windowed estimator answers "what were the rates five minutes ago?"
-by rebuilding *everything* per window — sub-trace, shard plan, worker
-processes, blanket caches, kernels — even though consecutive windows
-share almost all of their tasks.  This module is the online form the
-paper points at: a :class:`TraceStream` reveals tasks as they enter the
-system, a :class:`StreamingEstimator` slides a window over the revealed
-prefix, and the expensive state is kept **warm across windows**:
+Sliding-window StEM answers "what were the rates five minutes ago?".
+This module is its one driver and the online form the paper points at:
+a :class:`TraceStream` reveals tasks as they enter the system (a
+:class:`ReplayTraceStream` replays a recorded trace), a
+:class:`StreamingEstimator` slides a window over the revealed prefix,
+and since consecutive windows share most of their tasks, the expensive
+state is kept **warm across windows**:
 
 * worker processes and their transport connections live in a
   :class:`~repro.inference.shard.WarmShardWorkerPool` for the whole
@@ -21,14 +21,13 @@ prefix, and the expensive state is kept **warm across windows**:
   sub-trace restriction via :class:`~repro.events.subset.SubsetIndex`)
   is O(window), independent of how much trace has already streamed past.
 
-Equivalence contract (pinned by ``tests/test_streaming.py``): a frozen
-window processed by the streaming path is **bitwise identical** to
-:class:`~repro.online.windowed.WindowedEstimator` on the same sub-trace
-at the same seed, for any worker count and any transport; with
-``repartition="cold"`` this holds for *every* window of the stream.
-Under incremental re-partitioning later windows use a different (equally
-exact) scan order, so their estimates agree statistically rather than
-bitwise — sharding never changes the posterior, only the schedule.
+Equivalence contract (pinned by ``tests/test_streaming.py``): window
+*i* is :func:`~repro.inference.stem.run_stem` with the heuristic
+initializer on the window's sub-trace, seeded by the *i*-th spawn of the
+estimator's seed — bitwise, with one shard.  Sharded windows are bitwise
+identical for any worker count and any transport; the first window's
+partition is the from-scratch one, later windows carry it forward, which
+reorders the (equally exact) scan but never changes the posterior.
 """
 
 from __future__ import annotations
@@ -102,10 +101,10 @@ class TraceStream:
 class ReplayTraceStream(TraceStream):
     """Replays a recorded censored trace in estimated entry order.
 
-    The replay source for tests and benchmarks — and the reference
-    semantics for live adapters: entry times come from the same
-    interpolation the windowed estimator uses, tasks are revealed in
-    entry order, and sub-traces are restricted through a
+    The replay source for recorded traces, tests and benchmarks — and
+    the reference semantics for live adapters: entry times are
+    interpolated between measured entries along the queue-0 order, tasks
+    are revealed in entry order, and sub-traces are restricted through a
     :class:`~repro.events.subset.SubsetIndex` so each window costs
     O(window) regardless of the full trace length.
     """
@@ -187,10 +186,8 @@ class StreamingEstimator:
         Every estimator setting, documented on
         :class:`~repro.online.config.EstimatorConfig`.
     random_state:
-        Seed material, consumed as in
-        :class:`~repro.online.windowed.WindowedEstimator`: window *i*
-        uses the *i*-th spawn, so a frozen window matches the windowed
-        path bitwise.
+        Seed material: window *i* uses the *i*-th spawn of it, so a
+        window's estimate depends on its index and inputs alone.
     transport:
         Worker transport for the shard pool (see
         :mod:`repro.inference.transport`); pipes by default, sockets for
@@ -215,9 +212,8 @@ class StreamingEstimator:
         self.config = config
         self.stream = stream
         self.transport = transport
-        # One child per window, spawned lazily from the same sequence the
-        # windowed estimator spawns up front — identical streams without
-        # knowing the window count in advance.
+        # One child per window, spawned lazily — the streams an up-front
+        # spawn(n) would hand out, without knowing the window count.
         self._seed_seq = as_seed_sequence(random_state)
         self._entries: dict[int, float] = {}
         self._observed: dict[int, bool] = {}
@@ -229,22 +225,6 @@ class StreamingEstimator:
         self.n_worker_relaunches = 0
 
     # ------------------------------------------------------------------
-    # Config views.
-    # ------------------------------------------------------------------
-
-    @property
-    def worker_retries(self) -> int:
-        """Relaunch budget per window (see :class:`EstimatorConfig`)."""
-        return self.config.worker_retries
-
-    @worker_retries.setter
-    def worker_retries(self, value: int) -> None:
-        value = int(value)
-        if value < 0:
-            raise InferenceError(f"worker_retries must be >= 0, got {value}")
-        self.config.worker_retries = value
-
-    # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
 
@@ -254,7 +234,7 @@ class StreamingEstimator:
         return self._pool is not None and not self._pool.closed
 
     def _ensure_pool(self) -> WarmShardWorkerPool | None:
-        if self.shards <= 1 or not self.shard_workers or not self.warm_workers:
+        if self.shards <= 1 or not self.shard_workers:
             return None
         if self._pool is None or self._pool.closed:
             # Clamp like the dedicated pools do: a worker beyond the shard
@@ -273,7 +253,7 @@ class StreamingEstimator:
         monitoring consumer before *and* after the recovery path runs.
         """
         if self._pool is None:
-            if not (self.shards > 1 and self.shard_workers and self.warm_workers):
+            if not (self.shards > 1 and self.shard_workers):
                 return None
             return {"closed": True, "n_workers": 0, "n_alive": 0,
                     "pids": [], "n_hosted_shards": 0,
@@ -372,7 +352,7 @@ class StreamingEstimator:
 
     def _next_window_seed(self) -> np.random.SeedSequence:
         # One incremental spawn from the preserved SeedSequence — the same
-        # child the windowed estimator's up-front spawn(n) hands window i.
+        # child an up-front spawn(n) would hand window i.
         # The *child sequence* (not a generator) is what a window keeps:
         # a retry after a worker crash rebuilds a fresh generator from it,
         # so the re-run draws exactly the stream the first attempt did.
@@ -407,10 +387,9 @@ class StreamingEstimator:
         return hit
 
     def _window_partition(self, skeleton, n_tasks: int):
-        """The window's task partition, carried across windows when warm."""
-        if self.shards <= 1 or self.repartition == "cold":
-            self._assignment = {}
-            return None  # the engine partitions from scratch
+        """The window's task partition, carried across windows."""
+        if self.shards <= 1:
+            return None
         n_shards = min(self.shards, n_tasks)
         if self._assignment and self._prev_n_shards == n_shards:
             part = refresh_partition(skeleton, self._assignment, n_shards)
@@ -490,15 +469,7 @@ class StreamingEstimator:
             window_trace = self.stream.subset(tasks)
         with telemetry.phase("partition"):
             partition = self._window_partition(window_trace.skeleton, len(tasks))
-        n_shards = (
-            partition.n_shards if partition is not None
-            else min(self.shards, len(tasks))
-        )
-        cold_workers = (
-            self.shard_workers
-            if (self.shard_workers and self.shards > 1 and not self.warm_workers)
-            else None
-        )
+        n_shards = 1 if partition is None else partition.n_shards
         rates = None
         failure = None
         relaunches_left = self.worker_retries
@@ -521,8 +492,6 @@ class StreamingEstimator:
                     shards=self.shards,
                     shard_partition=partition,
                     shard_pool=pool,
-                    persistent_workers=cold_workers,
-                    shard_transport=self.transport if cold_workers else None,
                     threads=self.threads,
                 )
                 rates = stem.rates
@@ -557,13 +526,12 @@ class StreamingEstimator:
     def estimates(self):
         """Process every window of the stream, yielding as they complete.
 
-        The window grid is the windowed estimator's ``np.arange(0,
-        horizon, step)`` — reproduced lazily (``arange`` materializes
-        ``ceil(horizon / step)`` points at ``i * step``), with the
-        stream's horizon re-read before every window.  A replay source's
-        horizon is fixed, so this enumerates exactly the windowed grid; a
-        live adapter's horizon may keep advancing, and the generator
-        simply keeps producing windows until it stops.
+        The window grid is ``np.arange(0, horizon, step)`` — produced
+        lazily (``arange`` materializes ``ceil(horizon / step)`` points at
+        ``i * step``), with the stream's horizon re-read before every
+        window.  A replay source's horizon is fixed, so this enumerates
+        exactly that grid; a live adapter's horizon may keep advancing,
+        and the generator simply keeps producing windows until it stops.
         """
         i = 0
         while True:
@@ -586,8 +554,7 @@ def _config_view(name: str) -> property:
     return property(
         lambda self, _name=name: getattr(self.config, _name),
         doc=f"``{name}`` from the estimator's "
-            ":class:`~repro.online.config.EstimatorConfig` (read-only view; "
-            "``worker_retries`` is the one knob with a validating setter).",
+            ":class:`~repro.online.config.EstimatorConfig` (read-only view).",
     )
 
 
@@ -596,8 +563,8 @@ def _config_view(name: str) -> property:
 # working unchanged.
 for _name in (
     "window", "step", "stem_iterations", "min_observed_tasks", "shards",
-    "shard_workers", "repartition", "warm_workers", "kernel", "threads",
-    "n_particles", "ess_threshold", "rejuvenation_sweeps",
+    "shard_workers", "kernel", "threads", "worker_retries", "n_particles",
+    "ess_threshold", "rejuvenation_sweeps",
 ):
     setattr(StreamingEstimator, _name, _config_view(_name))
 del _name

@@ -1,4 +1,5 @@
-"""Sliding-window parameter estimation over a censored trace."""
+"""Per-window building blocks of the sliding-window estimators, whose
+driver is :class:`~repro.online.streaming.StreamingEstimator`."""
 
 from __future__ import annotations
 
@@ -6,11 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InferenceError, ReproError
-from repro.events.subset import SubsetIndex, subset_trace
-from repro.inference import run_stem
+from repro.errors import InferenceError
 from repro.observation import ObservedTrace
-from repro.rng import RandomState, spawn
 
 
 @dataclass
@@ -71,132 +69,13 @@ def _entry_time_estimates(trace: ObservedTrace) -> dict[int, float]:
     return {int(skeleton.task[e]): float(entries[i]) for i, e in enumerate(order)}
 
 
-def validate_window_params(
-    window: float, step: float | None, stem_iterations: int, shards: int
-) -> None:
-    """The window-estimation parameter contract, shared by the windowed
-    and streaming estimators so the two can never drift apart."""
-    if window <= 0.0:
-        raise InferenceError(f"window must be positive, got {window}")
-    if step is not None and step <= 0.0:
-        raise InferenceError(f"step must be positive, got {step}")
-    if stem_iterations < 1:
-        # Rejected here, not per window: otherwise run_stem's own
-        # validation error would be misread as every window failing.
-        raise InferenceError(
-            f"need at least one StEM iteration, got {stem_iterations}"
-        )
-    if shards < 1:
-        raise InferenceError(f"need at least one shard, got {shards}")
-
-
 def task_fully_observed(trace: ObservedTrace, task_id: int) -> bool:
     """Whether every non-initial arrival of *task_id* was measured.
 
-    The per-window "observed task" count of the windowed and streaming
-    estimators — one definition so the two paths can never disagree.
+    The per-window "observed task" count every estimator flavor reports
+    — one definition, so no two of them can disagree.
     """
     skeleton = trace.skeleton
     idx = skeleton.events_of_task(task_id)
     non_init = idx[skeleton.seq[idx] != 0]
     return bool(np.all(trace.arrival_observed[non_init]))
-
-
-class WindowedEstimator:
-    """Re-run StEM over sliding time windows of a censored trace.
-
-    Parameters
-    ----------
-    trace:
-        The full censored trace.
-    window:
-        Window length (same clock units as the trace).
-    step:
-        Window start spacing; defaults to the window length (tumbling
-        windows).  Smaller values give overlapping windows.
-    stem_iterations:
-        StEM iterations per window (windows are small; a short run
-        suffices).
-    min_observed_tasks:
-        Windows with fewer fully observed tasks are skipped (``rates=None``).
-    shards:
-        Sharded sweeps for every window's StEM E-steps (see
-        :func:`~repro.inference.stem.run_stem`); the shard count is
-        clamped to each window's task count, so small windows fall back
-        to the plain kernel automatically.
-    kernel / threads:
-        Sweep kernel and batch-evaluation thread count for every
-        window's E-step chains (see
-        :class:`~repro.inference.gibbs.GibbsSampler`); neither changes
-        a draw.
-    """
-
-    def __init__(
-        self,
-        trace: ObservedTrace,
-        window: float,
-        step: float | None = None,
-        stem_iterations: int = 40,
-        min_observed_tasks: int = 3,
-        random_state: RandomState = None,
-        shards: int = 1,
-        kernel: str = "array",
-        threads: int = 1,
-    ) -> None:
-        validate_window_params(window, step, stem_iterations, shards)
-        self.trace = trace
-        self.window = float(window)
-        self.step = float(step) if step is not None else float(window)
-        self.stem_iterations = int(stem_iterations)
-        self.min_observed_tasks = int(min_observed_tasks)
-        self._random_state = random_state
-        self.shards = int(shards)
-        self.kernel = str(kernel)
-        self.threads = int(threads)
-        self._entries = _entry_time_estimates(trace)
-        self._subset_index = SubsetIndex(trace.skeleton)
-
-    def _task_observed(self, task_id: int) -> bool:
-        return task_fully_observed(self.trace, task_id)
-
-    def run(self) -> list[WindowEstimate]:
-        """Estimate every window; returns them in time order.
-
-        A window whose StEM run raises a :class:`~repro.errors.ReproError`
-        (an inference failure, or records no feasible latent state fits)
-        is recorded as a failed window (``rates=None``, the reason on
-        ``failure``) — a failed window is data, not a crash.  Programming
-        errors propagate.
-        """
-        horizon = max(self._entries.values())
-        starts = np.arange(0.0, horizon, self.step)
-        streams = iter(spawn(self._random_state, max(len(starts), 1)))
-        results: list[WindowEstimate] = []
-        for t0 in starts:
-            t1 = t0 + self.window
-            tasks = [k for k, t in self._entries.items() if t0 <= t < t1]
-            n_observed = sum(self._task_observed(k) for k in tasks)
-            stream = next(streams)
-            if len(tasks) < 2 or n_observed < self.min_observed_tasks:
-                results.append(WindowEstimate(t0, t1, len(tasks), n_observed, None))
-                continue
-            window_trace = subset_trace(self.trace, tasks, index=self._subset_index)
-            rates = None
-            failure = None
-            try:
-                stem = run_stem(
-                    window_trace,
-                    n_iterations=self.stem_iterations,
-                    init_method="heuristic",
-                    random_state=stream,
-                    kernel=self.kernel,
-                    shards=self.shards,
-                    threads=self.threads,
-                )
-                rates = stem.rates
-            except ReproError as exc:
-                failure = str(exc)
-            results.append(
-                WindowEstimate(t0, t1, len(tasks), n_observed, rates, failure)
-            )
-        return results

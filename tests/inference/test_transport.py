@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.errors import InferenceError
-from repro.inference import GibbsSampler, heuristic_initialize, run_stem
+from repro.inference import (
+    GibbsSampler,
+    WarmShardWorkerPool,
+    heuristic_initialize,
+    run_stem,
+)
 from repro.inference.transport import (
     PipeTransport,
     SocketEndpoint,
@@ -285,9 +290,10 @@ class TestSocketPools:
             ("socket", SocketTransport()),
         ):
             state = heuristic_initialize(trace, rates)
+            pool = WarmShardWorkerPool(2, transport=transport)
             sampler = GibbsSampler(
                 trace, state, rates, random_state=7, shards=2,
-                shard_workers=2, shard_transport=transport,
+                shard_pool=pool,
             )
             try:
                 sampler.run(3)
@@ -296,6 +302,7 @@ class TestSocketPools:
                 results[name] = (totals, state.arrival.copy(), state.departure.copy())
             finally:
                 sampler.close()
+                pool.close()
                 transport.close()
         np.testing.assert_array_equal(results["pipe"][0], results["socket"][0])
         np.testing.assert_array_equal(results["pipe"][1], results["socket"][1])
@@ -308,8 +315,6 @@ class TestSocketPools:
         serial = run_stem(trace, shards=2, **kwargs)
         # Drive the socket path through the estimator-facing API: a warm
         # pool over a socket transport hosting one run's shards.
-        from repro.inference import WarmShardWorkerPool
-
         transport = SocketTransport()
         pool = WarmShardWorkerPool(2, transport=transport)
         try:

@@ -16,7 +16,7 @@ from repro.live import (
 )
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online import EstimatorConfig, StreamingEstimator, WindowedEstimator
+from repro.online import EstimatorConfig, ReplayTraceStream, StreamingEstimator
 from repro.simulate import simulate_network
 
 
@@ -50,11 +50,12 @@ def wait_until(client, statuses=("finished", "failed"), timeout=90.0):
 class TestServerSmoke:
     def test_live_server_smoke_bitwise_vs_replay(self):
         """The CI smoke: start a server, ingest a short trace over the
-        wire, and the published windows match the replay/windowed path
-        bitwise at the same seed."""
+        wire, and the published windows match the replay path bitwise at
+        the same seed."""
         trace, horizon = make_trace()
-        ref = WindowedEstimator(
-            trace, window=horizon / 3, stem_iterations=8, random_state=5
+        ref = StreamingEstimator(
+            ReplayTraceStream(trace), random_state=5,
+            config=EstimatorConfig(window=horizon / 3, stem_iterations=8),
         ).run()
         service = make_service(trace, horizon, windows=3)
         with service, LiveServer(service, authkey=b"smoke-key") as server:
@@ -120,6 +121,22 @@ class TestServerSmoke:
                     health["service"]["error"]
                 )
                 assert health["stream"]["n_admitted"] == trace.skeleton.n_events
+
+
+    def test_both_ends_send_without_nagle_delay(self):
+        """A frame leaves as a header write then a payload write; with
+        Nagle on, the payload would wait out the peer's delayed ACK on
+        every request/reply round trip."""
+        trace, horizon = make_trace(n_tasks=40)
+        service = make_service(trace, horizon, windows=1)
+        with service, LiveServer(service, authkey=b"k") as server:
+            with LiveClient(server.address, authkey=b"k") as client:
+                client.health()  # the server has registered its endpoint
+                (endpoint,) = server._endpoints
+                for sock in (client._endpoint._sock, endpoint._sock):
+                    assert sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
 
 
 class TestProtocolErrors:

@@ -14,6 +14,7 @@ from repro.live import (
     replay_batches,
     trace_to_records,
 )
+from repro.live.service import MAX_UNPUBLISHED_WINDOWS
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
 from repro.online import EstimatorConfig, SMCEstimator, StreamingEstimator
@@ -102,6 +103,31 @@ class TestSupervisor:
         assert published_before_seal >= 1
         assert total > published_before_seal  # the tail needed the seal
 
+    @pytest.mark.parametrize("running", [True, False])
+    def test_ingest_holds_its_reply_while_estimation_lags(self, running):
+        """Backpressure: ingest replies only once no more than
+        MAX_UNPUBLISHED_WINDOWS ready windows await publication, so a
+        producer cannot run further ahead of estimation; a service with
+        no supervisor running never holds (nothing would drain)."""
+        trace, horizon = make_trace()
+        (w1, first), (w2, second) = replay_batches(trace, batch_tasks=125)
+        stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
+        service = EstimatorService(
+            make_estimator(stream, horizon, windows=20), poll_interval=0.02
+        )
+        if running:
+            service.start()
+        try:
+            service.advance_watermark(w1)
+            service.ingest(first)
+            service.advance_watermark(w2)  # reveals the first half at once
+            backlog = service._n_unpublished_windows
+            assert backlog() > MAX_UNPUBLISHED_WINDOWS
+            service.ingest(second)
+            assert (backlog() <= MAX_UNPUBLISHED_WINDOWS) == running
+        finally:
+            service.stop()
+
     def test_live_service_matches_offline_streaming_run_bitwise(self):
         trace, horizon = make_trace()
         offline_stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
@@ -141,8 +167,8 @@ class TestSupervisor:
         fits (here 1e9) used to raise out of the estimator and leave the
         service 'failed' for good.  Now only the window holding the bad
         task fails; every other window is bitwise the clean run's, and
-        the windowed estimator agrees window for window."""
-        from repro.online import WindowedEstimator
+        the replay path agrees window for window."""
+        from repro.online import ReplayTraceStream
 
         trace, horizon = make_trace(n_tasks=300)
         bad, entry = corrupt_one_departure(trace)
@@ -173,11 +199,9 @@ class TestSupervisor:
             [w for w in clean if w.t_start != failed[0].t_start],
             [w for w in got if w is not failed[0]],
         )
-        windowed = WindowedEstimator(
-            bad, window=horizon / 5, stem_iterations=8, random_state=5
-        ).run()
-        assert [w.failure for w in windowed] == [w.failure for w in got]
-        assert_windows_equal(windowed, got)
+        replayed = make_estimator(ReplayTraceStream(bad), horizon).run()
+        assert [w.failure for w in replayed] == [w.failure for w in got]
+        assert_windows_equal(replayed, got)
 
     def test_validation_and_estimate_records(self):
         trace, horizon = make_trace(n_tasks=80)
@@ -241,7 +265,6 @@ class TestCheckpointRestore:
         ref_stream.seal()
         ref = make_estimator(
             ref_stream, horizon, shards=2, shard_workers=2,
-            repartition="incremental",
         ).run()
         assert sum(w.ok for w in ref) >= 3
         # Interrupted run: ingest 60%, let some windows publish, "crash".
@@ -250,7 +273,6 @@ class TestCheckpointRestore:
         service1 = EstimatorService(
             make_estimator(
                 stream1, horizon, shards=2, shard_workers=2,
-                repartition="incremental",
             ),
             checkpoint_path=ckpt, poll_interval=0.02,
         )

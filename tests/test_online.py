@@ -1,4 +1,5 @@
-"""Tests for windowed estimation and anomaly detection."""
+"""Tests for sliding-window estimation over recorded traces and anomaly
+detection."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,21 @@ from repro.fsm import TaskPath
 from repro.network import build_tandem_network
 from repro.network.topology import QueueingNetwork
 from repro.observation import TaskSampling
-from repro.online import EstimatorConfig, WindowedEstimator, detect_anomalies
+from repro.online import (
+    EstimatorConfig,
+    ReplayTraceStream,
+    StreamingEstimator,
+    detect_anomalies,
+)
 from repro.simulate import PoissonArrivals, simulate_tasks
+
+
+def run_windows(trace, random_state, **config):
+    """Sliding-window StEM over a recorded trace."""
+    return StreamingEstimator(
+        ReplayTraceStream(trace), EstimatorConfig(**config),
+        random_state=random_state,
+    ).run()
 
 
 def simulate_with_degradation(n_tasks=600, fault_at=0.5, slow_factor=4.0, seed=0):
@@ -35,11 +49,11 @@ class TestWindowedEstimator:
     def windows(self):
         events, horizon, fault_time = simulate_with_degradation(seed=13)
         trace = TaskSampling(fraction=0.25).observe(events, random_state=1)
-        estimator = WindowedEstimator(
-            trace, window=horizon / 8, stem_iterations=30,
-            min_observed_tasks=3, random_state=2,
+        results = run_windows(
+            trace, 2, window=horizon / 8, stem_iterations=30,
+            min_observed_tasks=3,
         )
-        return estimator.run(), horizon, fault_time
+        return results, horizon, fault_time
 
     def test_windows_cover_horizon(self, windows):
         results, horizon, _ = windows
@@ -65,25 +79,24 @@ class TestWindowedEstimator:
         after = [w.mean_service(2) for w in results if w.ok and w.t_start >= fault_time]
         assert np.median(after) < 2.0 * np.median(before)
 
-    def test_validation(self, tandem_trace):
-        with pytest.raises(InferenceError):
-            WindowedEstimator(tandem_trace, window=-1.0)
-        with pytest.raises(InferenceError):
-            WindowedEstimator(tandem_trace, window=1.0, step=0.0)
-        with pytest.raises(InferenceError):
-            WindowedEstimator(tandem_trace, window=1.0, shards=0)
-        with pytest.raises(InferenceError):  # config error, not "all windows failed"
-            WindowedEstimator(tandem_trace, window=1.0, stem_iterations=0)
+    def test_validation(self):
+        with pytest.raises(InferenceError, match="window must be positive"):
+            EstimatorConfig(window=-1.0)
+        with pytest.raises(InferenceError, match="step must be positive"):
+            EstimatorConfig(window=1.0, step=0.0)
+        with pytest.raises(InferenceError, match="at least one shard"):
+            EstimatorConfig(window=1.0, shards=0)
+        # A config error, not "all windows failed".
+        with pytest.raises(InferenceError, match="at least one StEM iteration"):
+            EstimatorConfig(window=1.0, stem_iterations=0)
 
     def test_sharded_windows_estimate(self, tandem_trace):
         """Sharded per-window StEM runs end to end; tiny windows clamp the
         shard count to their task count automatically."""
         horizon = float(np.nanmax(tandem_trace.skeleton.departure))
-        estimator = WindowedEstimator(
-            tandem_trace, window=horizon / 2, stem_iterations=15,
-            random_state=9, shards=3,
+        results = run_windows(
+            tandem_trace, 9, window=horizon / 2, stem_iterations=15, shards=3,
         )
-        results = estimator.run()
         assert any(w.ok for w in results)
         for w in results:
             if w.ok:
@@ -115,33 +128,26 @@ def synthetic_single_queue_trace(entries, service=0.4):
 class TestWindowedEdgeCases:
     def test_task_entering_exactly_at_horizon_with_tumbling_windows(self):
         """When the horizon is an exact multiple of the step, the window
-        predicate ``t0 <= t < t1`` leaves the horizon task in no window —
-        pinned so the streaming path can mirror it exactly."""
+        predicate ``t0 <= t < t1`` leaves the horizon task in no window,
+        and the grid stops short of a window starting at the horizon."""
         trace = synthetic_single_queue_trace([0.0, 1.0, 2.0, 3.0, 4.0])
-        estimator = WindowedEstimator(
-            trace, window=2.0, min_observed_tasks=10**6, random_state=0
-        )
-        results = estimator.run()
+        results = run_windows(trace, 0, window=2.0, min_observed_tasks=10**6)
         assert [(w.t_start, w.t_end) for w in results] == [(0.0, 2.0), (2.0, 4.0)]
         assert [w.n_tasks for w in results] == [2, 2]  # entry 4.0 in neither
 
     def test_task_at_horizon_included_when_windows_overhang(self):
         trace = synthetic_single_queue_trace([0.0, 1.0, 2.0, 3.0, 4.0])
-        estimator = WindowedEstimator(
-            trace, window=3.0, step=2.0, min_observed_tasks=10**6,
-            random_state=0,
+        results = run_windows(
+            trace, 0, window=3.0, step=2.0, min_observed_tasks=10**6
         )
-        results = estimator.run()
         assert [(w.t_start, w.t_end) for w in results] == [(0.0, 3.0), (2.0, 5.0)]
         assert [w.n_tasks for w in results] == [3, 3]  # 4.0 lands in [2, 5)
 
     def test_overlapping_windows_cover_every_task_multiply(self):
         trace = synthetic_single_queue_trace([float(i) for i in range(8)])
-        estimator = WindowedEstimator(
-            trace, window=4.0, step=2.0, min_observed_tasks=10**6,
-            random_state=0,
+        results = run_windows(
+            trace, 0, window=4.0, step=2.0, min_observed_tasks=10**6
         )
-        results = estimator.run()
         starts = [w.t_start for w in results]
         assert starts == [0.0, 2.0, 4.0, 6.0]
         # step < window: interior tasks are counted by two windows each.
@@ -150,9 +156,7 @@ class TestWindowedEdgeCases:
 
     def test_all_windows_skipped_path(self):
         trace = synthetic_single_queue_trace([0.0, 1.0, 2.0, 3.0])
-        results = WindowedEstimator(
-            trace, window=2.0, min_observed_tasks=10**6, random_state=0
-        ).run()
+        results = run_windows(trace, 0, window=2.0, min_observed_tasks=10**6)
         assert results and all(not w.ok for w in results)
         assert all(w.rates is None and w.failure is None for w in results)
         assert detect_anomalies(results) == []
@@ -161,41 +165,8 @@ class TestWindowedEdgeCases:
 class TestWindowedFailureHandling:
     """The `except Exception` bugfix: only InferenceError is window data."""
 
-    def _estimator(self, tandem_trace):
-        horizon = float(np.nanmax(tandem_trace.skeleton.departure))
-        return WindowedEstimator(
-            tandem_trace, window=horizon / 2, stem_iterations=5,
-            min_observed_tasks=1, random_state=3,
-        )
-
-    def test_inference_error_is_recorded_as_failed_window(
-        self, tandem_trace, monkeypatch
-    ):
-        import repro.online.windowed as windowed
-
-        def boom(*args, **kwargs):
-            raise InferenceError("window exploded")
-
-        monkeypatch.setattr(windowed, "run_stem", boom)
-        results = self._estimator(tandem_trace).run()
-        attempted = [w for w in results if w.failure is not None]
-        assert attempted, "no window attempted estimation"
-        for w in attempted:
-            assert not w.ok and w.failure == "window exploded"
-
-    def test_programming_errors_propagate(self, tandem_trace, monkeypatch):
-        import repro.online.windowed as windowed
-
-        def bug(*args, **kwargs):
-            raise TypeError("a genuine bug, not a failed window")
-
-        monkeypatch.setattr(windowed, "run_stem", bug)
-        with pytest.raises(TypeError, match="genuine bug"):
-            self._estimator(tandem_trace).run()
-
     def test_streaming_failure_handling_matches(self, tandem_trace, monkeypatch):
         import repro.online.streaming as streaming
-        from repro.online import ReplayTraceStream, StreamingEstimator
 
         def boom(*args, **kwargs):
             raise InferenceError("stream window exploded")
@@ -230,10 +201,9 @@ class TestAnomalyDetection:
     def test_fault_flagged_on_right_queue(self):
         events, horizon, fault_time = simulate_with_degradation(seed=29)
         trace = TaskSampling(fraction=0.25).observe(events, random_state=3)
-        estimator = WindowedEstimator(
-            trace, window=horizon / 8, stem_iterations=30, random_state=4,
+        windows = run_windows(
+            trace, 4, window=horizon / 8, stem_iterations=30
         )
-        windows = estimator.run()
         reports = detect_anomalies(windows, threshold=4.0)
         assert reports, "the injected degradation was not detected"
         flagged_queues = {r.queue for r in reports}
@@ -247,10 +217,9 @@ class TestAnomalyDetection:
     def test_no_flags_on_healthy_trace(self, tandem_sim):
         trace = TaskSampling(fraction=0.3).observe(tandem_sim.events, random_state=5)
         horizon = float(np.nanmax(tandem_sim.events.departure))
-        estimator = WindowedEstimator(
-            trace, window=horizon / 5, stem_iterations=30, random_state=6,
+        windows = run_windows(
+            trace, 6, window=horizon / 5, stem_iterations=30
         )
-        windows = estimator.run()
         reports = detect_anomalies(windows, threshold=6.0)
         assert reports == []
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import InferenceError
+from repro.errors import InferenceError, ReproError
+from repro.events.subset import subset_trace
+from repro.inference import run_stem
 from repro.inference.shard import (
     WarmShardWorkerPool,
     partition_tasks,
@@ -15,8 +17,11 @@ from repro.online import (
     EstimatorConfig,
     ReplayTraceStream,
     StreamingEstimator,
-    WindowedEstimator,
+    WindowEstimate,
+    task_fully_observed,
 )
+from repro.online.windowed import _entry_time_estimates
+from repro.rng import spawn
 from repro.simulate import simulate_network
 
 
@@ -26,6 +31,42 @@ def make_trace(n_tasks=300, seed=11, fraction=0.25, obs_seed=1):
     trace = TaskSampling(fraction=fraction).observe(sim.events, random_state=obs_seed)
     horizon = float(np.nanmax(sim.events.departure))
     return trace, horizon
+
+
+def windowed_reference(trace, window, *, stem_iterations, random_state,
+                       shards=1):
+    """Sliding-window StEM spelled out, one independent run per window.
+
+    The oracle the streaming estimator is pinned against: tumbling
+    windows on the ``arange(0, horizon, window)`` grid, each window's
+    tasks picked by estimated entry time, restricted with
+    ``subset_trace`` and solved by ``run_stem`` (heuristic init) on the
+    window's own spawn of *random_state*, partitioned from scratch;
+    windows with fewer than three fully observed tasks (the config
+    default) are skipped.
+    """
+    entries = _entry_time_estimates(trace)
+    starts = np.arange(0.0, max(entries.values()), window)
+    streams = spawn(random_state, len(starts))
+    results = []
+    for t0, stream in zip(starts, streams):
+        t1 = t0 + window
+        tasks = [k for k, t in entries.items() if t0 <= t < t1]
+        n_observed = sum(task_fully_observed(trace, k) for k in tasks)
+        rates = failure = None
+        if len(tasks) >= 2 and n_observed >= 3:
+            try:
+                rates = run_stem(
+                    subset_trace(trace, tasks), n_iterations=stem_iterations,
+                    init_method="heuristic", random_state=stream,
+                    shards=shards,
+                ).rates
+            except ReproError as exc:
+                failure = str(exc)
+        results.append(
+            WindowEstimate(t0, t1, len(tasks), n_observed, rates, failure)
+        )
+    return results
 
 
 def assert_windows_equal(ref, got):
@@ -73,91 +114,75 @@ class TestReplayTraceStream:
 
 
 class TestStreamingEquivalence:
-    """The acceptance contract: frozen windows match the windowed path
-    bitwise at the same seed, for any worker count and any transport."""
+    """The acceptance contract: unsharded windows match the per-window
+    reference bitwise at the same seed; sharded windows are bitwise the
+    same in-process and pooled, at any worker count."""
 
     def test_serial_streaming_matches_windowed_bitwise(self):
         trace, horizon = make_trace()
         window = horizon / 5
-        ref = WindowedEstimator(
-            trace, window=window, stem_iterations=12, random_state=2
-        ).run()
+        ref = windowed_reference(
+            trace, window, stem_iterations=12, random_state=2
+        )
         got = StreamingEstimator(
             ReplayTraceStream(trace), random_state=2,
-            config=EstimatorConfig(
-                window=window, stem_iterations=12, repartition="cold",
-            ),
+            config=EstimatorConfig(window=window, stem_iterations=12),
         ).run()
         assert_windows_equal(ref, got)
+        assert [w.failure for w in ref] == [w.failure for w in got]
         assert any(w.ok for w in got)
 
     def test_warm_pool_sharded_matches_windowed_bitwise(self):
         """Sharded windows on a warm cross-window pool are bitwise the
-        windowed estimator's cold in-process runs."""
+        in-process sharded windows — every window, carried partition
+        included — and the first is bitwise the per-window reference."""
         trace, horizon = make_trace()
         window = horizon / 4
-        ref = WindowedEstimator(
-            trace, window=window, stem_iterations=10, random_state=5, shards=2
+        config = dict(window=window, stem_iterations=10, shards=2)
+        ref = StreamingEstimator(
+            ReplayTraceStream(trace), random_state=5,
+            config=EstimatorConfig(**config),
         ).run()
         est = StreamingEstimator(
             ReplayTraceStream(trace), random_state=5,
-            config=EstimatorConfig(
-                window=window, stem_iterations=10, shards=2, shard_workers=2,
-                repartition="cold",
-            ),
+            config=EstimatorConfig(**config, shard_workers=2),
         )
         got = est.run()
         assert not est.pooled  # run() closes the pool
         assert_windows_equal(ref, got)
+        first = windowed_reference(
+            trace, window, stem_iterations=10, random_state=5, shards=2
+        )[0]
+        np.testing.assert_array_equal(first.rates, got[0].rates)
 
     def test_worker_count_does_not_change_results(self):
         trace, horizon = make_trace(n_tasks=200)
         window = horizon / 3
         results = []
-        for workers in (1, 3):
+        for workers in (None, 1, 3):
             got = StreamingEstimator(
                 ReplayTraceStream(trace), random_state=9,
                 config=EstimatorConfig(
                     window=window, stem_iterations=8, shards=3,
-                    shard_workers=workers, repartition="cold",
+                    shard_workers=workers,
                 ),
             ).run()
             results.append(got)
         assert_windows_equal(results[0], results[1])
-
-    def test_cold_worker_mode_matches_warm_bitwise(self):
-        """warm_workers=False (fresh pool per window) changes no draw."""
-        trace, horizon = make_trace(n_tasks=200)
-        window = horizon / 3
-        warm = StreamingEstimator(
-            ReplayTraceStream(trace), random_state=4,
-            config=EstimatorConfig(
-                window=window, stem_iterations=8, shards=2, shard_workers=2,
-                repartition="cold",
-            ),
-        ).run()
-        cold = StreamingEstimator(
-            ReplayTraceStream(trace), random_state=4,
-            config=EstimatorConfig(
-                window=window, stem_iterations=8, shards=2, shard_workers=2,
-                repartition="cold", warm_workers=False,
-            ),
-        ).run()
-        assert_windows_equal(warm, cold)
+        assert_windows_equal(results[0], results[2])
 
     def test_incremental_first_window_matches_windowed(self):
-        """Incremental re-partitioning degenerates to the cold partition on
-        the first window, so the frozen-window contract holds there too."""
+        """The carried partition starts as the from-scratch one, so the
+        first sharded window is bitwise the per-window reference."""
         trace, horizon = make_trace()
         window = horizon / 4
-        ref = WindowedEstimator(
-            trace, window=window, stem_iterations=10, random_state=5, shards=2
-        ).run()
+        ref = windowed_reference(
+            trace, window, stem_iterations=10, random_state=5, shards=2
+        )
         got = StreamingEstimator(
             ReplayTraceStream(trace), random_state=5,
             config=EstimatorConfig(
                 window=window, stem_iterations=10, shards=2, shard_workers=2,
-                repartition="incremental",
             ),
         ).run()
         np.testing.assert_array_equal(ref[0].rates, got[0].rates)
@@ -179,7 +204,7 @@ class TestWarmReuse:
             ReplayTraceStream(trace), random_state=5,
             config=EstimatorConfig(
                 window=horizon / 3, step=horizon / 9, stem_iterations=6,
-                shards=4, shard_workers=2, repartition="incremental",
+                shards=4, shard_workers=2,
             ),
         )
         got = est.run()
@@ -242,9 +267,11 @@ class TestWorkerCrashRecovery:
 
         trace, horizon = make_trace(n_tasks=200)
         config = EstimatorConfig(window=horizon / 3, stem_iterations=6,
-                                 shards=2, shard_workers=2, repartition="cold")
+                                 shards=2, shard_workers=2)
         ref = StreamingEstimator(
-            ReplayTraceStream(trace), random_state=7, config=config
+            ReplayTraceStream(trace), random_state=7,
+            config=EstimatorConfig(window=horizon / 3, stem_iterations=6,
+                                   shards=2),
         ).run()
 
         est = StreamingEstimator(
@@ -277,7 +304,7 @@ class TestWorkerCrashRecovery:
             ReplayTraceStream(trace), random_state=7,
             config=EstimatorConfig(
                 window=horizon / 3, stem_iterations=6, shards=2,
-                shard_workers=2, repartition="cold",
+                shard_workers=2,
             ),
         )
         attempts = []
@@ -366,8 +393,6 @@ class TestStreamingLifecycle:
             EstimatorConfig(window=1.0, shard_workers=2)
         with pytest.raises(InferenceError):
             EstimatorConfig(window=1.0, shards=2, shard_workers=0)
-        with pytest.raises(InferenceError):
-            EstimatorConfig(window=1.0, repartition="sometimes")
         with pytest.raises(InferenceError, match="kernel"):
             EstimatorConfig(window=1.0, kernel="simd")
         with pytest.raises(InferenceError, match="thread"):
